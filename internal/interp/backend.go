@@ -17,6 +17,9 @@ const (
 // TransferSpec is one resolved pragma item: sizes evaluated, buffer
 // lifetime decisions made.
 type TransferSpec struct {
+	// Item is the pragma item. An engine may pass only its names (Name,
+	// Into): the section expressions are already evaluated into the
+	// fields below.
 	Item minic.TransferItem
 	Dir  Direction
 	// Dest is the device buffer name.
@@ -42,6 +45,9 @@ type TransferSpec struct {
 // synchronization tags, and the work measured while the region's body ran
 // on the device.
 type OffloadOp struct {
+	// Pragma identifies the offload site: the runtime keys persistent
+	// kernels by it and labels spans with its position. An engine may pass
+	// a per-site copy without the transfer clauses Specs already resolve.
 	Pragma  *minic.Pragma
 	Specs   []TransferSpec
 	Wait    string

@@ -121,17 +121,18 @@ func (c *compiler) errf(pos minic.Pos, format string, args ...interface{}) error
 
 func (c *compiler) compile() error {
 	// Register globals first.
+	l := c.prog.layout
 	for _, d := range c.prog.file.Decls {
-		vd, ok := d.(*minic.VarDecl)
-		if !ok {
-			continue
+		if vd, ok := d.(*minic.VarDecl); ok {
+			l.add(vd)
 		}
-		g := &gvar{name: vd.Name, typ: vd.Type, shared: vd.Shared, decl: vd}
-		if el := minic.ElemOf(vd.Type); el != nil {
-			g.arrayly = true
-			g.elem = el
-		}
-		c.prog.gvars[vd.Name] = g
+	}
+	// Trim append slack before taking pointers into the slice: the layout
+	// lives as long as any cached module built from this program.
+	l.globals = append(make([]global, 0, len(l.globals)), l.globals...)
+	c.prog.globals = make([]gvar, len(l.globals))
+	for i := range c.prog.globals {
+		c.prog.globals[i].global = &l.globals[i]
 	}
 	// Pre-create cfunc shells so calls resolve (including recursion).
 	for _, fd := range c.prog.file.Funcs() {
@@ -162,7 +163,7 @@ func (c *compiler) lookup(name string) (binding, bool) {
 			return b, true
 		}
 	}
-	if g, ok := c.prog.gvars[name]; ok {
+	if g := c.prog.lookup(name); g != nil {
 		return binding{kind: bindGlobal, g: g, typ: g.typ}, true
 	}
 	return binding{}, false
@@ -361,7 +362,7 @@ func (c *compiler) compileAssign(x *minic.AssignStmt) (stmtFn, error) {
 					if env.onDevice {
 						throw(rtErrf(pos, "cannot rebind global pointer %s on the device", g.name))
 					}
-					g.arr = rf(env)
+					g.setStorage(rf(env))
 					return ctlNormal
 				}, nil
 			}

@@ -89,23 +89,32 @@ func (h GlobalHandle) Elem() minic.Type { return h.g.elem }
 // Cell returns the host-side scalar storage (meaningful for scalars).
 func (h GlobalHandle) Cell() *Cell { return &h.g.cell }
 
-// Arr returns the current host-side array storage (nil when unallocated).
-func (h GlobalHandle) Arr() *Array { return h.g.arr }
+// Arr returns the current host-side array storage, allocating a
+// fixed-size array's zeroed storage on first use after Reset (nil for an
+// unallocated pointer).
+func (h GlobalHandle) Arr() *Array { return h.g.storage() }
 
 // SetArr rebinds the host-side array storage (global pointer assignment).
-func (h GlobalHandle) SetArr(a *Array) { h.g.arr = a }
+func (h GlobalHandle) SetArr(a *Array) { h.g.setStorage(a) }
+
+// Slot returns the global's index in its program's Layout; GlobalAt
+// resolves it in any instance of that layout.
+func (h GlobalHandle) Slot() int { return h.g.slot }
 
 // Global resolves a global by name; the second result reports success.
 func (p *Program) Global(name string) (GlobalHandle, bool) {
-	g, ok := p.gvars[name]
-	return GlobalHandle{g: g}, ok
+	g := p.lookup(name)
+	return GlobalHandle{g: g}, g != nil
 }
+
+// GlobalAt resolves a global by its Layout slot.
+func (p *Program) GlobalAt(slot int) GlobalHandle { return GlobalHandle{g: &p.globals[slot]} }
 
 // GlobalNames returns every global's name in sorted order.
 func (p *Program) GlobalNames() []string {
-	names := make([]string, 0, len(p.gvars))
-	for n := range p.gvars {
-		names = append(names, n)
+	names := make([]string, 0, len(p.globals))
+	for _, g := range p.layout.globals {
+		names = append(names, g.name)
 	}
 	sort.Strings(names)
 	return names

@@ -417,7 +417,7 @@ func evalSpecs(env *Env, specs []*cspec, pos minic.Pos) []TransferSpec {
 
 // hostArrayFor resolves the host storage of a named array.
 func hostArrayFor(env *Env, name string, pos minic.Pos) *Array {
-	g := env.p.gvars[name]
+	g := env.p.lookup(name)
 	if g == nil || !g.arrayly {
 		throw(rtErrf(pos, "pragma item %s is not a global array", name))
 	}
@@ -430,7 +430,7 @@ func hostArrayFor(env *Env, name string, pos minic.Pos) *Array {
 // devBufferShape returns element layout info for creating a device buffer
 // named after a declared variable.
 func devBufferShape(env *Env, name string, elems int64, pos minic.Pos) *Array {
-	g := env.p.gvars[name]
+	g := env.p.lookup(name)
 	if g == nil || !g.arrayly {
 		throw(rtErrf(pos, "device buffer %s must be a declared array or pointer", name))
 	}
@@ -443,7 +443,7 @@ func applyIn(env *Env, specs []*cspec, resolved []TransferSpec, pos minic.Pos) {
 		ts := resolved[i]
 		if sp.scalar {
 			if sp.dir == DirIn || sp.dir == DirNone {
-				g := env.p.gvars[sp.hostName]
+				g := env.p.lookup(sp.hostName)
 				if g == nil {
 					throw(rtErrf(pos, "scalar %s is not global; only globals can be transferred", sp.hostName))
 				}
@@ -492,7 +492,7 @@ func applyOut(env *Env, specs []*cspec, resolved []TransferSpec, pos minic.Pos) 
 		}
 		if sp.scalar {
 			if cell := env.p.devCell[sp.devName]; cell != nil {
-				g := env.p.gvars[sp.hostName]
+				g := env.p.lookup(sp.hostName)
 				if g == nil {
 					throw(rtErrf(pos, "scalar %s is not global", sp.hostName))
 				}

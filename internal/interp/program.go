@@ -7,13 +7,17 @@ import (
 	"comp/internal/minic"
 )
 
-// Program is a compiled MiniC program ready to execute.
+// Program is a compiled MiniC program ready to execute. Its global
+// storage, device memory and printf output are per-Program state; the
+// global Layout is shared, read-only, with every instance made from it
+// (NewInstance).
 type Program struct {
 	file  *minic.File
 	check *minic.CheckResult
 
-	gvars map[string]*gvar
-	funcs map[string]*cfunc
+	layout  *Layout
+	globals []gvar // indexed like layout.globals
+	funcs   map[string]*cfunc
 
 	// Device-side memory (one coprocessor).
 	devArr  map[string]*Array
@@ -26,7 +30,7 @@ type Program struct {
 	sharedAllocs int64
 
 	// engine, when set, replaces the tree-walker for Run (internal/vm);
-	// engineErr records why the default factory declined this program.
+	// engineErr records why the engine factory declined this program.
 	engine    Engine
 	engineErr error
 
@@ -36,28 +40,91 @@ type Program struct {
 	loopBudget int64
 }
 
-type gvar struct {
+// Layout is the compact, read-only description of a compiled program's
+// globals: names, types, initial scalar values and fixed array lengths.
+// It holds no function bodies and no storage, so one Layout serves any
+// number of Program instances at once.
+type Layout struct {
+	globals []global // declaration order
+	index   map[string]int
+	// mainErr is the error Run reports before executing anything: a
+	// missing or parameterized main.
+	mainErr error
+}
+
+// global is one global variable's static description.
+type global struct {
 	name    string
 	typ     minic.Type
 	elem    minic.Type // element type for arrays/pointers, nil for scalars
 	arrayly bool
 	shared  bool
-	cell    Cell
-	arr     *Array
-	decl    *minic.VarDecl
+	slot    int // index in Layout.globals
+	init    float64
+	// length is the element count of a fixed-size array; sized is false
+	// for scalars and for pointers, which stay nil until malloc'd or
+	// injected.
+	length int64
+	sized  bool
 }
 
-// Compile parses, checks, and compiles a MiniC source text.
+// gvar is one global's storage in one Program.
+type gvar struct {
+	*global
+	cell Cell
+	arr  *Array
+	// pending marks a fixed-size array whose zeroed storage is due but not
+	// yet allocated: Reset defers it so an input that Setup injects
+	// (SetArray) replaces nothing, and the first read allocates it.
+	pending bool
+}
+
+// storage returns the global's array storage, allocating a pending
+// fixed-size array on first use.
+func (g *gvar) storage() *Array {
+	if g.pending {
+		g.allocate()
+	}
+	return g.arr
+}
+
+// allocate is the cold half of storage, kept out of line so storage
+// inlines into the engines' array accesses.
+//
+//go:noinline
+func (g *gvar) allocate() {
+	g.arr = NewArrayFor(g.name, g.elem, g.length)
+	g.pending = false
+}
+
+// setStorage rebinds the global's array storage.
+func (g *gvar) setStorage(a *Array) {
+	g.arr = a
+	g.pending = false
+}
+
+// Compile parses, checks, and compiles a MiniC source text. The process
+// default engine factory (SetDefaultEngine) picks its execution engine.
 func Compile(src string) (*Program, error) {
+	return CompileWith(src, defaultEngineFactory())
+}
+
+// CompileWith is Compile with an explicit engine factory in place of the
+// process default; nil selects the tree-walker.
+func CompileWith(src string, mk EngineFactory) (*Program, error) {
 	f, err := minic.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return CompileFile(f)
+	return compileFile(f, mk)
 }
 
 // CompileFile checks and compiles a parsed file.
 func CompileFile(f *minic.File) (*Program, error) {
+	return compileFile(f, defaultEngineFactory())
+}
+
+func compileFile(f *minic.File, mk EngineFactory) (*Program, error) {
 	res := minic.Check(f)
 	if err := res.Err(); err != nil {
 		return nil, err
@@ -65,7 +132,7 @@ func CompileFile(f *minic.File) (*Program, error) {
 	p := &Program{
 		file:    f,
 		check:   res,
-		gvars:   map[string]*gvar{},
+		layout:  &Layout{index: map[string]int{}},
 		funcs:   map[string]*cfunc{},
 		devArr:  map[string]*Array{},
 		devCell: map[string]*Cell{},
@@ -74,10 +141,11 @@ func CompileFile(f *minic.File) (*Program, error) {
 	if err := c.compile(); err != nil {
 		return nil, err
 	}
-	if err := p.initGlobals(); err != nil {
+	if err := p.layout.resolve(f, p.funcs); err != nil {
 		return nil, err
 	}
-	if mk := defaultEngineFactory(); mk != nil {
+	p.initGlobals()
+	if mk != nil {
 		if eng, err := mk(p); err != nil {
 			p.engineErr = err // fall back to the tree-walker
 		} else {
@@ -96,16 +164,52 @@ func MustCompile(src string) *Program {
 	return p
 }
 
-// initGlobals allocates global arrays and evaluates scalar initializers.
-func (p *Program) initGlobals() error {
-	for _, g := range p.gvars {
+// NewInstance returns a state-only Program over l that executes on e,
+// which must be an engine built for a program with this layout (the VM
+// checks). The instance carries no AST and no tree-walker code: File
+// returns nil and Run needs the engine. Its globals are unallocated until
+// the first Reset, which every run must start with (the scheduler and
+// runtime.RunWithSetup both do).
+func NewInstance(l *Layout, e Engine) *Program {
+	p := &Program{layout: l, globals: make([]gvar, len(l.globals)), engine: e}
+	for i := range p.globals {
+		p.globals[i].global = &l.globals[i]
+	}
+	return p
+}
+
+// Layout returns the program's global layout, shared with every instance
+// made from it.
+func (p *Program) Layout() *Layout { return p.layout }
+
+// add registers one global declaration (sema has rejected redeclared
+// names).
+func (l *Layout) add(vd *minic.VarDecl) {
+	g := global{name: vd.Name, typ: vd.Type, shared: vd.Shared, slot: len(l.globals)}
+	if el := minic.ElemOf(vd.Type); el != nil {
+		g.arrayly = true
+		g.elem = el
+	}
+	l.index[vd.Name] = g.slot
+	l.globals = append(l.globals, g)
+}
+
+// resolve evaluates the constant scalar initializers and array lengths
+// and records whether main is runnable.
+func (l *Layout) resolve(f *minic.File, funcs map[string]*cfunc) error {
+	for _, d := range f.Decls {
+		vd, ok := d.(*minic.VarDecl)
+		if !ok {
+			continue
+		}
+		g := &l.globals[l.index[vd.Name]]
 		if !g.arrayly {
-			if g.decl != nil && g.decl.Init != nil {
-				v, ok := constFloat(g.decl.Init)
+			if vd.Init != nil {
+				v, ok := constFloat(vd.Init)
 				if !ok {
 					return fmt.Errorf("interp: global %s initializer must be constant", g.name)
 				}
-				g.cell.V = v
+				g.init = v
 			}
 			continue
 		}
@@ -114,9 +218,43 @@ func (p *Program) initGlobals() error {
 			if !ok {
 				return fmt.Errorf("interp: global array %s needs a constant length", g.name)
 			}
-			g.arr = NewArrayFor(g.name, g.elem, n)
+			if n < 0 {
+				return fmt.Errorf("interp: global array %s has negative length %d", g.name, n)
+			}
+			g.length, g.sized = n, true
 		}
-		// Pointer globals stay nil until malloc'd or injected.
+	}
+	switch main := funcs["main"]; {
+	case main == nil:
+		l.mainErr = fmt.Errorf("interp: program has no main function")
+	case len(main.params) > 0:
+		l.mainErr = fmt.Errorf("interp: main takes no parameters")
+	}
+	return nil
+}
+
+// initGlobals sets scalars to their initializers and fixed-size arrays
+// to fresh zeroed storage, allocated on first use.
+func (p *Program) initGlobals() {
+	for i := range p.globals {
+		g := &p.globals[i]
+		g.cell.V = g.init
+		g.arr = nil
+		g.pending = g.sized
+	}
+}
+
+// allocGlobals allocates every pending array before a run.
+func (p *Program) allocGlobals() {
+	for i := range p.globals {
+		p.globals[i].storage()
+	}
+}
+
+// lookup returns a global's storage by name, or nil.
+func (p *Program) lookup(name string) *gvar {
+	if i, ok := p.layout.index[name]; ok {
+		return &p.globals[i]
 	}
 	return nil
 }
@@ -125,29 +263,31 @@ func (p *Program) initGlobals() error {
 // device memory and captured output cleared. It lets one compiled program
 // run multiple times from a clean slate.
 func (p *Program) Reset() error {
-	p.devArr = map[string]*Array{}
-	p.devCell = map[string]*Cell{}
+	if p.devArr == nil {
+		p.devArr = map[string]*Array{}
+		p.devCell = map[string]*Cell{}
+	} else {
+		clear(p.devArr)
+		clear(p.devCell)
+	}
 	p.out.Reset()
 	p.sharedAllocs = 0
-	for _, g := range p.gvars {
-		g.cell.V = 0
-		g.arr = nil
-	}
-	return p.initGlobals()
+	p.initGlobals()
+	return nil
 }
 
 // Run executes main() against the backend. Runtime faults (device OOM,
 // missing device data, bounds) are returned as *RuntimeError.
 func (p *Program) Run(b Backend) (err error) {
-	main := p.funcs["main"]
-	if main == nil {
-		return fmt.Errorf("interp: program has no main function")
+	if err := p.layout.mainErr; err != nil {
+		return err
 	}
-	if len(main.params) > 0 {
-		return fmt.Errorf("interp: main takes no parameters")
-	}
+	p.allocGlobals()
 	if p.engine != nil {
 		return p.engine.Run(p, b)
+	}
+	if p.funcs == nil {
+		return fmt.Errorf("interp: program instance has no engine")
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -163,7 +303,7 @@ func (p *Program) Run(b Backend) (err error) {
 		env.budgetOn = true
 		env.budget = p.loopBudget
 	}
-	env.call(main, nil, nil)
+	env.call(p.funcs["main"], nil, nil)
 	// Flush trailing host work.
 	if !env.work.Zero() {
 		b.HostCompute(*env.work)
@@ -180,7 +320,7 @@ func (p *Program) SharedAllocs() int64 { return p.sharedAllocs }
 
 // Scalar returns a global scalar's current value.
 func (p *Program) Scalar(name string) (float64, error) {
-	g := p.gvars[name]
+	g := p.lookup(name)
 	if g == nil || g.arrayly {
 		return 0, fmt.Errorf("interp: no scalar global %q", name)
 	}
@@ -189,7 +329,7 @@ func (p *Program) Scalar(name string) (float64, error) {
 
 // SetScalar stores a global scalar, for input injection.
 func (p *Program) SetScalar(name string, v float64) error {
-	g := p.gvars[name]
+	g := p.lookup(name)
 	if g == nil || g.arrayly {
 		return fmt.Errorf("interp: no scalar global %q", name)
 	}
@@ -199,8 +339,8 @@ func (p *Program) SetScalar(name string, v float64) error {
 
 // ArrayData returns the backing data of a global array (host side).
 func (p *Program) ArrayData(name string) ([]float64, error) {
-	g := p.gvars[name]
-	if g == nil || !g.arrayly || g.arr == nil {
+	g := p.lookup(name)
+	if g == nil || !g.arrayly || g.storage() == nil {
 		return nil, fmt.Errorf("interp: no allocated array global %q", name)
 	}
 	return g.arr.Data, nil
@@ -210,7 +350,7 @@ func (p *Program) ArrayData(name string) ([]float64, error) {
 // (one float per element for scalar arrays). The element layout comes from
 // the declared type.
 func (p *Program) SetArray(name string, data []float64) error {
-	g := p.gvars[name]
+	g := p.lookup(name)
 	if g == nil || !g.arrayly {
 		return fmt.Errorf("interp: no array global %q", name)
 	}
@@ -226,7 +366,7 @@ func (p *Program) SetArray(name string, data []float64) error {
 	if len(data)%fields != 0 {
 		return fmt.Errorf("interp: data length %d not a multiple of %d fields", len(data), fields)
 	}
-	g.arr = &Array{Name: name, Data: data, Fields: fields, FieldOff: fieldOff, ElemBytes: g.elem.Size()}
+	g.setStorage(&Array{Name: name, Data: data, Fields: fields, FieldOff: fieldOff, ElemBytes: g.elem.Size()})
 	return nil
 }
 
@@ -239,7 +379,8 @@ func (p *Program) DeviceArray(name string) []float64 {
 	return nil
 }
 
-// File returns the compiled file (for transforms and reporting).
+// File returns the compiled file (for transforms and reporting); nil for
+// an instance.
 func (p *Program) File() *minic.File { return p.file }
 
 func constIntExpr(e minic.Expr) (int64, bool) {

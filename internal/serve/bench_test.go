@@ -1,0 +1,69 @@
+package serve
+
+import (
+	"testing"
+
+	"comp/internal/vm"
+)
+
+// tinySource is a small inline offload program: a few kernels over 64
+// elements, so a request's cost is the serving path, not execution.
+const tinySource = `
+float a[64];
+float b[64];
+float s;
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i++) {
+        a[i] = i * 0.25 + 1.0;
+    }
+    #pragma offload target(mic:0) in(a : length(64)) out(b : length(64))
+    #pragma omp parallel for
+    for (i = 0; i < 64; i++) {
+        b[i] = sqrt(a[i]) * 2.0 + a[i];
+    }
+    s = 0.0;
+    for (i = 0; i < 64; i++) {
+        s = s + b[i];
+    }
+    return 0;
+}
+`
+
+// BenchmarkServeWarmRequest measures one request on a warm plan — the
+// plan-cache hit path: a program for the request, one scheduler run, and
+// the outputs copied into the response. The server is stepped, so the
+// figure holds no dispatcher hand-off, and pins the bytecode VM.
+func BenchmarkServeWarmRequest(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		job  Job
+	}{
+		{"nn", Job{Workload: "nn"}},
+		{"tiny", Job{Key: "tiny", Source: tinySource, Outputs: []string{"b"}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := New(Config{Streams: 2, Stepped: true, Exec: vm.ExecVM})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			do := func() {
+				t, err := s.Enqueue(bc.job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.StepBatch()
+				if _, err := t.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			do() // build the plan
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				do()
+			}
+		})
+	}
+}

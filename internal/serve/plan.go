@@ -13,15 +13,18 @@ import (
 	"comp/internal/sim/metrics"
 	"comp/internal/transform"
 	"comp/internal/tune"
+	"comp/internal/vm"
 	"comp/internal/workloads"
 )
 
 // Plan is one cached serving plan: everything expensive about preparing a
-// request — optimizing the source and tuning the streaming block count by
-// measurement — computed once per (workload, machine) key. Executing a
-// request from a plan only needs a fresh interp.Compile of the stored
-// source, which every request pays anyway because Program instances cannot
-// be shared across concurrent executions.
+// request — optimizing the source, tuning the streaming block count by
+// measurement, and compiling the result — done once per (workload,
+// machine) key. The compiled code is kept per VM engine mode as a
+// read-only module plus the program's global layout; a request executes
+// on a fresh state-only instance of it (interp.NewInstance) and compiles
+// nothing. Only the tree-walker path (engine mode "interp", or a program
+// the VM declines) still compiles the source once per request.
 type Plan struct {
 	// Key identifies the plan in the cache: the job key plus the machine
 	// configuration it was tuned for.
@@ -47,7 +50,25 @@ type Plan struct {
 	// setup injects the workload's generated inputs (nil for inline-source
 	// jobs without a setup hook).
 	setup func(*interp.Program) error
+
+	// execs caches the compiled code per VM engine mode.
+	execMu sync.Mutex
+	execs  map[string]executable
 }
+
+// executable is a plan's code compiled for one VM engine mode: the
+// program's global layout and the read-only engine that every request's
+// instance runs. It holds no program, so no AST, tree-walker code or
+// array storage stays alive with the plan.
+type executable struct {
+	layout *interp.Layout
+	engine interp.Engine // nil when the VM declined the program
+	err    error
+}
+
+// vmMode reports whether an engine mode runs compiled bytecode, which a
+// plan compiles once and shares across requests.
+func vmMode(mode string) bool { return mode == vm.ExecVM || mode == vm.ExecColumnar }
 
 // planEntry is a cache slot with singleflight semantics: the first
 // requester builds, concurrent requesters for the same key block on ready
@@ -71,6 +92,10 @@ type Planner struct {
 	hits   int64
 	misses int64
 	probes int64
+
+	// testCompiled, when set by tests, observes every compile of a plan's
+	// source on the serving path: the plan key and the engine mode.
+	testCompiled func(key, mode string)
 }
 
 // NewPlanner returns an empty plan cache.
@@ -176,8 +201,9 @@ func cacheKey(job Job, cfg runtime.Config, tuned bool) (string, error) {
 
 // planFor returns the plan for a job, building it on first use. The cached
 // return reports whether the plan (or an in-flight build of it) already
-// existed.
-func (pl *Planner) planFor(job Job, cfg runtime.Config) (plan *Plan, cached bool, err error) {
+// existed. mode is the engine mode of the asking batch; a build that
+// compiles the final source anyway keeps that compile for mode.
+func (pl *Planner) planFor(job Job, cfg runtime.Config, mode string) (plan *Plan, cached bool, err error) {
 	ct := pl.costTuner()
 	key, err := cacheKey(job, cfg, ct != nil)
 	if err != nil {
@@ -202,9 +228,9 @@ func (pl *Planner) planFor(job Job, cfg runtime.Config) (plan *Plan, cached bool
 	// Build outside the lock; errors are cached too — plan building is
 	// deterministic, so a failed key would fail identically on retry.
 	if ct != nil {
-		e.plan, e.err = pl.buildTuned(ct, key, job, cfg)
+		e.plan, e.err = pl.buildTuned(ct, key, job, cfg, mode)
 	} else {
-		e.plan, e.err = pl.build(key, job, cfg)
+		e.plan, e.err = pl.build(key, job, cfg, mode)
 	}
 	if e.plan != nil {
 		pl.mu.Lock()
@@ -217,9 +243,9 @@ func (pl *Planner) planFor(job Job, cfg runtime.Config) (plan *Plan, cached bool
 
 // build constructs the plan: resolve the source, tune the block count by
 // measurement when the job streams, and optimize.
-func (pl *Planner) build(key string, job Job, cfg runtime.Config) (*Plan, error) {
+func (pl *Planner) build(key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
 	if job.Source != "" {
-		return pl.buildSource(key, job, cfg)
+		return pl.buildSource(key, job, cfg, mode)
 	}
 	b, err := workloads.Get(job.Workload)
 	if err != nil {
@@ -280,15 +306,17 @@ func (pl *Planner) build(key string, job Job, cfg runtime.Config) (*Plan, error)
 }
 
 // buildSource plans an inline-source job. Without Optimize the source is
-// served as written (the plan still validates it compiles); with Optimize
-// the block count is tuned by measurement and the COMP pipeline applied,
-// exactly as for registry workloads.
-func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config) (*Plan, error) {
+// served as written (the plan still validates it compiles, and keeps that
+// compile as mode's executable); with Optimize the block count is tuned by
+// measurement and the COMP pipeline applied, exactly as for registry
+// workloads.
+func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
 	probeCfg := cfg
 	probeCfg.DisableTrace = true
 	src := job.Source
 	blocks, probes := 0, 0
 	var remarks pass.Remarks
+	var execs map[string]executable
 	if job.Optimize {
 		base, err := runProbe(job.Source, probeCfg, job.Setup)
 		if err != nil {
@@ -319,8 +347,17 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config) (*Plan, 
 		}
 		src, blocks, probes = res.Source(), tr.Blocks, tr.Probes
 		remarks = res.Report.Remarks
-	} else if _, err := interp.Compile(src); err != nil {
-		return nil, fmt.Errorf("serve: plan %s: %w", key, err)
+	} else if vmMode(mode) {
+		x := pl.compile(key, src, mode)
+		if x.err != nil {
+			return nil, fmt.Errorf("serve: plan %s: %w", key, x.err)
+		}
+		execs = map[string]executable{mode: x}
+	} else {
+		pl.noteCompile(key, mode)
+		if _, err := interp.Compile(src); err != nil {
+			return nil, fmt.Errorf("serve: plan %s: %w", key, err)
+		}
 	}
 	return &Plan{
 		Key:        key,
@@ -330,6 +367,7 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config) (*Plan, 
 		Outputs:    append([]string(nil), job.Outputs...),
 		Remarks:    remarks,
 		setup:      job.Setup,
+		execs:      execs,
 	}, nil
 }
 
@@ -339,10 +377,10 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config) (*Plan, 
 // configurations within its budget, then compile the winner behind a tune
 // stage so the decision — predicted vs measured cost included — lands in
 // the plan's remark trail.
-func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.Config) (*Plan, error) {
+func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
 	if job.Source != "" && !job.Optimize {
 		// Inline source served as written: nothing to tune.
-		return pl.buildSource(key, job, cfg)
+		return pl.buildSource(key, job, cfg, mode)
 	}
 	probeCfg := cfg
 	probeCfg.DisableTrace = true
@@ -386,6 +424,48 @@ func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.C
 		Tuned:      &d.TuneDecision,
 		setup:      setup,
 	}, nil
+}
+
+// executable returns the plan's code compiled for a VM engine mode,
+// compiling it on first use: once per plan and mode, whichever server or
+// fleet device asks.
+func (pl *Planner) executable(plan *Plan, mode string) executable {
+	plan.execMu.Lock()
+	defer plan.execMu.Unlock()
+	x, ok := plan.execs[mode]
+	if !ok {
+		x = pl.compile(plan.Key, plan.Source, mode)
+		if plan.execs == nil {
+			plan.execs = map[string]executable{}
+		}
+		plan.execs[mode] = x
+	}
+	return x
+}
+
+// compile compiles a plan's source for a VM engine mode and keeps only
+// what requests need to run it.
+func (pl *Planner) compile(key, src, mode string) executable {
+	pl.noteCompile(key, mode)
+	mk, err := vm.FactoryFor(mode)
+	if err != nil {
+		return executable{err: err}
+	}
+	p, err := interp.CompileWith(src, mk)
+	if err != nil {
+		return executable{err: err}
+	}
+	if p.Engine() == nil {
+		return executable{}
+	}
+	return executable{layout: p.Layout(), engine: p.Engine()}
+}
+
+// noteCompile reports one compile of a plan's source to the test hook.
+func (pl *Planner) noteCompile(key, mode string) {
+	if pl.testCompiled != nil {
+		pl.testCompiled(key, mode)
+	}
 }
 
 // runProbe executes one measured run for inline-source tuning.

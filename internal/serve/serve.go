@@ -102,9 +102,10 @@ type Config struct {
 	// — and therefore every figure in the ServerReport — bit-identical
 	// across replays of the same submission sequence.
 	Stepped bool
-	// Exec pins the execution engine for every program this server
-	// compiles: vm.ExecVM for bytecode, vm.ExecInterp for the tree-walker,
-	// "" for the process-wide default (vm.SetExecMode).
+	// Exec pins the execution engine for every request this server runs:
+	// vm.ExecVM for bytecode, vm.ExecColumnar for bytecode with the
+	// columnar tier, vm.ExecInterp for the tree-walker, "" for the
+	// process-wide default (vm.SetExecMode), read again for every batch.
 	Exec string
 }
 
@@ -506,8 +507,8 @@ func (s *Server) drainBatch(first *pending) []*pending {
 	return batch
 }
 
-// runBatch plans, compiles and executes one batch as a single Scheduler
-// run, then answers every request in it.
+// runBatch plans and executes one batch as a single Scheduler run, then
+// answers every request in it.
 func (s *Server) runBatch(batch []*pending) {
 	if s.testHoldBatch != nil {
 		<-s.testHoldBatch
@@ -541,8 +542,14 @@ func (s *Server) runBatch(batch []*pending) {
 		return
 	}
 
-	// Resolve plans (cache hits are free; first use per key tunes) and
-	// compile one fresh program per request.
+	// Resolve plans (cache hits are free; first use per key tunes) and give
+	// each request a fresh program: an instance of the plan's compiled code
+	// for the batch's engine mode, or a fresh compile on the tree-walker
+	// path.
+	mode := s.cfg.Exec
+	if mode == "" {
+		mode = vm.ExecMode()
+	}
 	type item struct {
 		p      *pending
 		plan   *Plan
@@ -551,24 +558,16 @@ func (s *Server) runBatch(batch []*pending) {
 	}
 	items := make([]item, 0, len(live))
 	for _, p := range live {
-		plan, cached, err := s.planner.planFor(p.job, rtCfg)
-		if err != nil {
-			atomic.AddInt64(&s.failed, 1)
-			p.fail(err)
-			continue
+		plan, cached, err := s.planner.planFor(p.job, rtCfg, mode)
+		if err == nil {
+			var prog *interp.Program
+			if prog, err = s.program(plan, mode); err == nil {
+				items = append(items, item{p: p, plan: plan, cached: cached, prog: prog})
+				continue
+			}
 		}
-		prog, err := interp.Compile(plan.Source)
-		if err != nil {
-			atomic.AddInt64(&s.failed, 1)
-			p.fail(fmt.Errorf("serve: plan %s compile: %w", plan.Key, err))
-			continue
-		}
-		if err := vm.Apply(prog, s.cfg.Exec); err != nil {
-			atomic.AddInt64(&s.failed, 1)
-			p.fail(fmt.Errorf("serve: plan %s: %w", plan.Key, err))
-			continue
-		}
-		items = append(items, item{p: p, plan: plan, cached: cached, prog: prog})
+		atomic.AddInt64(&s.failed, 1)
+		p.fail(err)
 	}
 	if len(items) == 0 {
 		return
@@ -650,6 +649,32 @@ func (s *Server) runBatch(batch []*pending) {
 	s.statsMu.Lock()
 	s.batchSizes = append(s.batchSizes, int64(len(items)))
 	s.statsMu.Unlock()
+}
+
+// program returns a fresh program for one request. In a VM engine mode it
+// is a state-only instance of the plan's shared compiled code. The
+// tree-walker path — mode "interp", or a program the VM declines — compiles
+// the plan's source for every request, exactly as a standalone run would:
+// it is the oracle, not the serving path.
+func (s *Server) program(plan *Plan, mode string) (*interp.Program, error) {
+	if vmMode(mode) {
+		x := s.planner.executable(plan, mode)
+		if x.err != nil {
+			return nil, fmt.Errorf("serve: plan %s compile: %w", plan.Key, x.err)
+		}
+		if x.engine != nil {
+			return interp.NewInstance(x.layout, x.engine), nil
+		}
+	}
+	s.planner.noteCompile(plan.Key, mode)
+	prog, err := interp.Compile(plan.Source)
+	if err != nil {
+		return nil, fmt.Errorf("serve: plan %s compile: %w", plan.Key, err)
+	}
+	if err := vm.Apply(prog, s.cfg.Exec); err != nil {
+		return nil, fmt.Errorf("serve: plan %s: %w", plan.Key, err)
+	}
+	return prog, nil
 }
 
 // Report snapshots the server-level metrics as a metrics.ServerReport.

@@ -15,7 +15,21 @@ func finalizeChunk(ch *Chunk, nGlobals, nFuncs int) error {
 	}
 	ch.MaxF = maxF
 	ch.MaxR = maxR
+	ch.Code = exact(ch.Code)
+	ch.Consts = exact(ch.Consts)
+	ch.Works = exact(ch.Works)
+	ch.Positions = exact(ch.Positions)
+	ch.Accesses = exact(ch.Accesses)
 	return nil
+}
+
+// exact copies s into a slice of exactly its length, so a module cached
+// for the life of a server retains no append slack.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // VerifyChunk checks a chunk's structural invariants: jump targets in

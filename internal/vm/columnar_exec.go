@@ -52,7 +52,7 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 				}
 			}
 		} else {
-			a = m.mod.Globals[s.A].H.Arr()
+			a = m.globals[s.A].Arr()
 		}
 		if a == nil || a.Fields != 1 {
 			return
@@ -152,7 +152,7 @@ func (m *machine) gstoreScalar(gi int32, v float64) {
 		dc.cell.V = v
 		return
 	}
-	m.mod.Globals[gi].H.Cell().V = v
+	m.globals[gi].Cell().V = v
 }
 
 // colExec runs the column program over k iterations in blocks of colBlock.

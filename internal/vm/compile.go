@@ -19,11 +19,12 @@ func CompileProgram(p *interp.Program) (*Module, error) {
 		prog: p,
 		file: p.File(),
 		mod: &Module{
-			Prog:   p,
+			Layout: p.Layout(),
 			ByName: map[string]int{},
 			Main:   -1,
 		},
-		gidx: map[string]int{},
+		gidx:  map[string]int{},
+		sites: map[*minic.Pragma]*minic.Pragma{},
 	}
 	// Pre-register every function so calls (including recursion) resolve.
 	for _, fd := range c.file.Funcs() {
@@ -78,6 +79,8 @@ type comp struct {
 	file *minic.File
 	mod  *Module
 	gidx map[string]int
+	// sites maps each source pragma to its clause-free copy (see site).
+	sites map[*minic.Pragma]*minic.Pragma
 
 	fn       *Chunk
 	code     []Instr
@@ -158,6 +161,14 @@ func (c *comp) posIdx(pos minic.Pos) int32 {
 	return int32(len(c.fn.Positions) - 1)
 }
 
+// slot returns a global's Layout slot, or -1 when name is not a global.
+func (c *comp) slot(name string) int32 {
+	if h, ok := c.prog.Global(name); ok {
+		return int32(h.Slot())
+	}
+	return -1
+}
+
 func (c *comp) globalIdx(name string) (int32, bool) {
 	if i, ok := c.gidx[name]; ok {
 		return int32(i), true
@@ -167,7 +178,7 @@ func (c *comp) globalIdx(name string) (int32, bool) {
 		return 0, false
 	}
 	i := len(c.mod.Globals)
-	c.mod.Globals = append(c.mod.Globals, GlobalRef{Name: name, H: h})
+	c.mod.Globals = append(c.mod.Globals, GlobalRef{Name: name, Slot: int32(h.Slot())})
 	c.gidx[name] = i
 	return int32(i), true
 }
@@ -579,7 +590,7 @@ func (c *comp) forStmt(fs *minic.ForStmt) error {
 	pos := fs.Pos()
 	var offDesc *OffloadDesc
 	if offload != nil {
-		offDesc = &OffloadDesc{Pragma: offload, Pos: pos, Chunk: c.fn}
+		offDesc = &OffloadDesc{Pragma: c.site(offload), Pos: pos, Chunk: c.fn}
 		c.fn.Offloads = append(c.fn.Offloads, offDesc)
 		c.emit(OpOffEnter, int32(len(c.fn.Offloads)-1), 0)
 	}
@@ -697,7 +708,7 @@ func (c *comp) pragmaStmt(x *minic.PragmaStmt) error {
 			return err
 		}
 		c.fn.Transfers = append(c.fn.Transfers, &TransferDesc{
-			Pragma: p, Specs: specs, Pos: x.Pos(), Chunk: c.fn,
+			Pragma: c.site(p), Specs: specs, Pos: x.Pos(), Chunk: c.fn,
 		})
 		c.emit(OpTransfer, int32(len(c.fn.Transfers)-1), 0)
 		return nil

@@ -2,13 +2,16 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"comp/internal/interp"
 )
 
 // Engine executes a compiled Module as a drop-in replacement for the
-// tree-walker. One Engine is bound to one Program; each Run gets a fresh
-// machine, so an Engine is reusable across Reset/Run cycles.
+// tree-walker. It holds no program state: each Run gets a fresh machine
+// over the Program it is handed, so one Engine serves the program it was
+// compiled from and every instance of that program's Layout, across
+// Reset/Run cycles and from concurrent goroutines.
 type Engine struct {
 	mod *Module
 	// columnar enables the batched columnar tier for qualifying loops;
@@ -54,12 +57,50 @@ func ColumnarFactory(p *interp.Program) (interp.Engine, error) {
 	return e, nil
 }
 
+// FactoryFor returns the engine factory behind an exec mode: Factory for
+// "vm", ColumnarFactory for "columnar", nil (the tree-walker) for
+// "interp".
+func FactoryFor(mode string) (interp.EngineFactory, error) {
+	switch mode {
+	case ExecInterp:
+		return nil, nil
+	case ExecVM:
+		return Factory, nil
+	case ExecColumnar:
+		return ColumnarFactory, nil
+	}
+	return nil, fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+}
+
+// modeMu orders installs of the process default engine with the mode
+// they record, so ExecMode always names the installed factory.
+var (
+	modeMu   sync.Mutex
+	execMode = ExecInterp
+)
+
+func install(mode string, mk interp.EngineFactory) {
+	modeMu.Lock()
+	interp.SetDefaultEngine(mk)
+	execMode = mode
+	modeMu.Unlock()
+}
+
 // Install makes the VM the default engine for every subsequently compiled
 // program; InstallColumnar additionally turns on the columnar batch tier;
 // Uninstall restores the tree-walker.
-func Install()         { interp.SetDefaultEngine(Factory) }
-func InstallColumnar() { interp.SetDefaultEngine(ColumnarFactory) }
-func Uninstall()       { interp.SetDefaultEngine(nil) }
+func Install()         { install(ExecVM, Factory) }
+func InstallColumnar() { install(ExecColumnar, ColumnarFactory) }
+func Uninstall()       { install(ExecInterp, nil) }
+
+// ExecMode reports the process default engine as an exec mode, as last
+// set by Install, InstallColumnar, Uninstall or SetExecMode; "interp"
+// before any of them runs.
+func ExecMode() string {
+	modeMu.Lock()
+	defer modeMu.Unlock()
+	return execMode
+}
 
 // Attach compiles p for the VM and installs the engine on it, overriding
 // whatever engine (or tree-walker default) it carries.
@@ -89,8 +130,8 @@ func (e *Engine) Module() *Module { return e.mod }
 // converting VM faults to *interp.RuntimeError exactly like the
 // tree-walker's Run.
 func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
-	if p != e.mod.Prog {
-		return fmt.Errorf("vm: engine bound to a different program")
+	if p.Layout() != e.mod.Layout {
+		return fmt.Errorf("vm: engine compiled for a different program layout")
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -102,6 +143,10 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 		}
 	}()
 	m := &machine{p: p, backend: b, mod: e.mod, colOn: e.columnar}
+	m.globals = make([]interp.GlobalHandle, len(e.mod.Globals))
+	for i, g := range e.mod.Globals {
+		m.globals[i] = p.GlobalAt(int(g.Slot))
+	}
 	m.work = &m.hostWork
 	m.refreshBucket()
 	if n := p.LoopBudget(); n > 0 {
@@ -127,16 +172,11 @@ const (
 // SetExecMode configures the process-wide default engine from a -exec
 // flag value, returning an error on unknown modes.
 func SetExecMode(mode string) error {
-	switch mode {
-	case ExecInterp:
-		Uninstall()
-	case ExecVM:
-		Install()
-	case ExecColumnar:
-		InstallColumnar()
-	default:
-		return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+	mk, err := FactoryFor(mode)
+	if err != nil {
+		return err
 	}
+	install(mode, mk)
 	return nil
 }
 
@@ -145,17 +185,21 @@ func SetExecMode(mode string) error {
 // "interp" forces the tree-walker, "" leaves whatever the process default
 // (SetExecMode / Install) already attached.
 func Apply(p *interp.Program, mode string) error {
-	switch mode {
-	case "":
+	if mode == "" {
 		return nil
-	case ExecInterp:
+	}
+	mk, err := FactoryFor(mode)
+	if err != nil {
+		return err
+	}
+	if mk == nil {
 		p.SetEngine(nil)
 		return nil
-	case ExecVM:
-		return Attach(p)
-	case ExecColumnar:
-		return AttachColumnar(p)
-	default:
-		return fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
 	}
+	e, err := mk(p)
+	if err != nil {
+		return err
+	}
+	p.SetEngine(e)
+	return nil
 }

@@ -57,6 +57,8 @@ type machine struct {
 	p       *interp.Program
 	backend interp.Backend
 	mod     *Module
+	// globals resolves mod.Globals against p's storage for this run.
+	globals []interp.GlobalHandle
 
 	hostWork interp.Work
 	work     *interp.Work   // current accounting target (host or kernel)
@@ -250,7 +252,7 @@ func (m *machine) garr(ch *Chunk, gi, posIdx int32) *interp.Array {
 		}
 		return a
 	}
-	a := m.mod.Globals[gi].H.Arr()
+	a := m.globals[gi].Arr()
 	if a == nil {
 		m.throwf(ch.Positions[posIdx], "array %s has no storage (not allocated)", m.mod.Globals[gi].Name)
 	}
@@ -270,7 +272,7 @@ func (m *machine) gval(gi int32) float64 {
 			return dc.cell.V
 		}
 	}
-	return m.mod.Globals[gi].H.Cell().V
+	return m.globals[gi].Cell().V
 }
 
 func (m *machine) flush() {
@@ -365,7 +367,7 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 					break
 				}
 			}
-			st[sp] = m.mod.Globals[in.A].H.Cell().V
+			st[sp] = m.globals[in.A].Cell().V
 			sp++
 		case OpStoreG:
 			sp--
@@ -378,7 +380,7 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 				}
 				dc.cell.V = v
 			} else {
-				m.mod.Globals[in.A].H.Cell().V = v
+				m.globals[in.A].Cell().V = v
 			}
 
 		case OpAdd:
@@ -554,7 +556,7 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			r[in.A] = rs[rsp]
 		case OpRefStoreG:
 			rsp--
-			m.mod.Globals[in.A].H.SetArr(rs[rsp])
+			m.globals[in.A].SetArr(rs[rsp])
 		case OpDevChk:
 			if m.onDevice {
 				g := m.mod.Globals[in.A]

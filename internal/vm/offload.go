@@ -135,6 +135,15 @@ func (m *machine) evalSpecs(ch *Chunk, specs []*VSpec, pos minic.Pos, f []float6
 	return out
 }
 
+// global resolves a compiled Layout slot in the executing program; slot -1
+// (not a global) yields an invalid handle.
+func (m *machine) global(slot int32) interp.GlobalHandle {
+	if slot < 0 {
+		return interp.GlobalHandle{}
+	}
+	return m.p.GlobalAt(int(slot))
+}
+
 // hostArrayFor resolves the host storage of a named array.
 func (m *machine) hostArrayFor(h interp.GlobalHandle, name string, pos minic.Pos) *interp.Array {
 	if !h.Valid() || !h.IsArray() {
@@ -161,15 +170,16 @@ func (m *machine) applyIn(ch *Chunk, specs []*VSpec, resolved []interp.TransferS
 		ts := resolved[i]
 		if sp.Scalar {
 			if sp.Dir == interp.DirIn || sp.Dir == interp.DirNone {
-				if !sp.HostG.Valid() {
+				h := m.global(sp.HostG)
+				if !h.Valid() {
 					m.throwf(pos, "scalar %s is not global; only globals can be transferred", sp.HostName)
 				}
-				m.p.EnsureDevScalar(sp.DevName).V = sp.HostG.Cell().V
+				m.p.EnsureDevScalar(sp.DevName).V = h.Cell().V
 			}
 			continue
 		}
 		if ts.Alloc {
-			m.p.SetDevBuf(sp.DevName, m.devBufferShape(sp.DevG, sp.DevName, ts.Elems, pos))
+			m.p.SetDevBuf(sp.DevName, m.devBufferShape(m.global(sp.DevG), sp.DevName, ts.Elems, pos))
 		}
 		if sp.Dir != interp.DirIn {
 			continue
@@ -178,7 +188,7 @@ func (m *machine) applyIn(ch *Chunk, specs []*VSpec, resolved []interp.TransferS
 		if dst == nil {
 			m.throwf(pos, "device buffer %s used before allocation (alloc_if(0) without a prior alloc?)", sp.DevName)
 		}
-		src := m.hostArrayFor(sp.HostG, sp.HostName, pos)
+		src := m.hostArrayFor(m.global(sp.HostG), sp.HostName, pos)
 		srcOff := int64(0)
 		if sp.Start != nil {
 			srcOff = int64(m.evalBlock(ch, sp.Start, f, r))
@@ -204,10 +214,11 @@ func (m *machine) applyOut(ch *Chunk, specs []*VSpec, resolved []interp.Transfer
 		}
 		if sp.Scalar {
 			if cell := m.p.DevScalar(sp.DevName); cell != nil {
-				if !sp.HostG.Valid() {
+				h := m.global(sp.HostG)
+				if !h.Valid() {
 					m.throwf(pos, "scalar %s is not global", sp.HostName)
 				}
-				sp.HostG.Cell().V = cell.V
+				h.Cell().V = cell.V
 			}
 			continue
 		}
@@ -215,7 +226,7 @@ func (m *machine) applyOut(ch *Chunk, specs []*VSpec, resolved []interp.Transfer
 		if src == nil {
 			m.throwf(pos, "device buffer %s not present for out transfer", sp.DevName)
 		}
-		dst := m.hostArrayFor(sp.HostG, sp.HostName, pos)
+		dst := m.hostArrayFor(m.global(sp.HostG), sp.HostName, pos)
 		srcOff := int64(0)
 		if sp.Start != nil {
 			srcOff = int64(m.evalBlock(ch, sp.Start, f, r))

@@ -305,6 +305,8 @@ type ParDesc struct {
 // offload handlers evaluate them on demand (and, like the tree-walker,
 // more than once).
 type VSpec struct {
+	// Item keeps the clause's names only; its section expressions are
+	// compiled into the mini-blocks below.
 	Item      minic.TransferItem
 	Dir       interp.Direction
 	Scalar    bool
@@ -313,14 +315,15 @@ type VSpec struct {
 	Start, Length, IntoStart, AllocIf, FreeIf []Instr
 
 	HostName, DevName string
-	// Resolved global handles (invalid when the name is not a global; the
-	// runtime checks mirror the tree-walker's gvars lookups).
-	HostG, DevG interp.GlobalHandle
+	// Layout slots of the named globals (-1 when the name is not a
+	// global; the runtime checks mirror the tree-walker's lookups).
+	HostG, DevG int32
 
 	DefAlloc, DefFree bool
 }
 
-// OffloadDesc describes one offload region.
+// OffloadDesc describes one offload region. Pragma identifies the site to
+// the backend; it carries no transfer clauses (see site).
 type OffloadDesc struct {
 	Pragma *minic.Pragma
 	Specs  []*VSpec
@@ -387,17 +390,20 @@ type Chunk struct {
 	VecLoops  []*VecLoopDesc
 }
 
-// GlobalRef resolves one global by a stable handle into the Program.
+// GlobalRef names one global the bytecode references and its slot in the
+// module's Layout; each run resolves it against the executing Program.
 type GlobalRef struct {
 	Name string
-	H    interp.GlobalHandle
+	Slot int32
 }
 
 // Module is a whole compiled program: one chunk per function plus the
-// global table, linked against the source Program (whose storage the VM
-// shares with the tree-walker).
+// global table. It holds no program state, so one read-only Module runs
+// any number of Programs that share its Layout — the program it was
+// compiled from, or instances made with interp.NewInstance — sequentially
+// or concurrently.
 type Module struct {
-	Prog    *interp.Program
+	Layout  *interp.Layout
 	Funcs   []*Chunk
 	ByName  map[string]int
 	Globals []GlobalRef

@@ -22,7 +22,23 @@ func (c *comp) miniBlock(e minic.Expr) ([]Instr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return blk, nil
+	return exact(blk), nil
+}
+
+// site returns the pragma an offload or transfer descriptor hands the
+// backend: the site's position, target and tags, without the transfer
+// clauses its compiled specs replace, so a cached module keeps no clause
+// expression trees alive. One copy per source pragma keeps the identity
+// the runtime keys persistent kernels by.
+func (c *comp) site(p *minic.Pragma) *minic.Pragma {
+	s, ok := c.sites[p]
+	if !ok {
+		cp := *p
+		cp.In, cp.Out, cp.InOut, cp.NoCopy = nil, nil, nil, nil
+		s = &cp
+		c.sites[p] = s
+	}
+	return s
 }
 
 // compileSpecs compiles every item of an offload/offload_transfer pragma,
@@ -75,14 +91,14 @@ func (c *comp) compileSpec(it minic.TransferItem, dir interp.Direction, defAlloc
 	if !ok {
 		return nil, c.errf(minic.Pos{}, "pragma item %s undefined", it.Name)
 	}
-	sp := &VSpec{Item: it, Dir: dir, DefAlloc: defAlloc, DefFree: defFree}
+	sp := &VSpec{Item: minic.TransferItem{Name: it.Name, Into: it.Into}, Dir: dir, DefAlloc: defAlloc, DefFree: defFree}
 	if !isRefType(bnd.typ) || it.Length == nil {
 		// Scalar copied by value.
 		sp.Scalar = true
 		sp.ElemBytes = bnd.typ.Size()
 		sp.HostName = it.Name
 		sp.DevName = it.Dest()
-		sp.HostG, _ = c.prog.Global(sp.HostName)
+		sp.HostG, sp.DevG = c.slot(sp.HostName), -1
 		return sp, nil
 	}
 	sp.ElemBytes = minic.ElemOf(bnd.typ).Size()
@@ -95,8 +111,7 @@ func (c *comp) compileSpec(it minic.TransferItem, dir interp.Direction, defAlloc
 		sp.HostName = it.Name
 		sp.DevName = it.Dest()
 	}
-	sp.HostG, _ = c.prog.Global(sp.HostName)
-	sp.DevG, _ = c.prog.Global(sp.DevName)
+	sp.HostG, sp.DevG = c.slot(sp.HostName), c.slot(sp.DevName)
 	var err error
 	if sp.Start, err = c.miniBlock(it.Start); err != nil {
 		return nil, err
