@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"comp/internal/core"
-	"comp/internal/minic"
 	"comp/internal/runtime"
 	"comp/internal/sim/machine"
 	"comp/internal/transform"
@@ -88,13 +87,14 @@ func tunePlatform(b *workloads.Benchmark, mic machine.Config) runtime.Config {
 // sweepOracle measures every candidate configuration exhaustively — each
 // spec the tuner would consider, and for streaming specs every block count
 // on the ladder — and returns the fastest. This is the ground truth the
-// tuner's bounded search is scored against.
+// tuner's bounded search is scored against. It measures through the same
+// core.Measurer as the search, so each distinct program runs once.
 func sweepOracle(b *workloads.Benchmark, cfg runtime.Config) (tune.Config, int64, error) {
-	f, err := minicFile(b.Source)
+	m, err := core.NewMeasurer(b.Source, cfg, b.Setup)
 	if err != nil {
 		return tune.Config{}, 0, err
 	}
-	feats, err := tune.Extract(f)
+	feats, err := tune.Extract(m.File())
 	if err != nil {
 		return tune.Config{}, 0, err
 	}
@@ -107,11 +107,11 @@ func sweepOracle(b *workloads.Benchmark, cfg runtime.Config) (tune.Config, int64
 		}
 		for _, n := range ladder {
 			c := tune.Config{Spec: spec, Blocks: n}
-			res, err := core.TunedRun(b.Source, c, cfg, b.Setup)
+			d, err := m.Measure(c)
 			if err != nil {
 				return tune.Config{}, 0, err
 			}
-			if ns := int64(res.Stats.Time); bestNs == 0 || ns < bestNs {
+			if ns := int64(d); bestNs == 0 || ns < bestNs {
 				best, bestNs = c, ns
 			}
 		}
@@ -271,16 +271,4 @@ func (rep *TuneReport) Format() string {
 		rep.MaxGap*100, rep.MaxHeldOutGap*100,
 		rep.MaxColdProbes, rep.MaxWarmProbes, rep.MaxHeldOutProbes)
 	return sb.String()
-}
-
-// minicFile parses and checks one workload source.
-func minicFile(src string) (*minic.File, error) {
-	f, err := minic.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := minic.Check(f).Err(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

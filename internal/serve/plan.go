@@ -318,7 +318,7 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode str
 	var remarks pass.Remarks
 	var execs map[string]executable
 	if job.Optimize {
-		base, err := runProbe(job.Source, probeCfg, job.Setup)
+		base, err := core.TunedRun(job.Source, tune.Config{}, probeCfg, job.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("serve: plan %s baseline: %w", key, err)
 		}
@@ -330,7 +330,7 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode str
 			if err != nil {
 				return 0, err
 			}
-			probed, err := runProbe(res.Source(), probeCfg, job.Setup)
+			probed, err := core.TunedRun(res.Source(), tune.Config{}, probeCfg, job.Setup)
 			if err != nil {
 				return 0, err
 			}
@@ -466,13 +466,4 @@ func (pl *Planner) noteCompile(key, mode string) {
 	if pl.testCompiled != nil {
 		pl.testCompiled(key, mode)
 	}
-}
-
-// runProbe executes one measured run for inline-source tuning.
-func runProbe(src string, cfg runtime.Config, setup func(*interp.Program) error) (runtime.Result, error) {
-	p, err := interp.Compile(src)
-	if err != nil {
-		return runtime.Result{}, err
-	}
-	return runtime.RunWithSetup(p, cfg, setup)
 }
