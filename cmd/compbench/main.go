@@ -36,19 +36,8 @@ import (
 	"os"
 
 	"comp/internal/bench"
-	"comp/internal/vm"
+	"comp/internal/cli"
 )
-
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
-		fmt.Fprintln(stderr, "compbench:", err)
-		return 2
-	}
-	return 0
-}
 
 func main() {
 	only := flag.String("only", "", "regenerate a single figure/table by id (e.g. fig12, table3)")
@@ -70,7 +59,7 @@ func main() {
 	passes := flag.String("passes", "", "compile every benchmark under this pipeline `spec` (e.g. \"merge,regularize,streaming\") and print the per-pass applied/skipped table with full remark trails")
 	scenarios := flag.Bool("scenarios", false, "replay every built-in serving scenario (internal/scenario) and print the per-scenario admission/fault-recovery table")
 	scenarioSeed := flag.Int64("scenario-seed", 1, "trace seed for -scenarios")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	execMode := cli.ExecFlag(flag.CommandLine)
 	vmbench := flag.Bool("vmbench", false, "benchmark the bytecode VM against the tree-walker on every workload")
 	vmbenchIters := flag.Int("vmbench-iters", 3, "full runs per engine for -vmbench (best-of)")
 	vmbenchOut := flag.String("vmbench-out", "BENCH_vm.json", "write the -vmbench report as JSON to this file (\"-\" = stdout only)")
@@ -82,7 +71,7 @@ func main() {
 	tuneModel := flag.String("tune-model", "TUNE_model.json", "write the -tune trained predictor model to this file (\"-\" = don't write)")
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := cli.SetExec("compbench", *execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 

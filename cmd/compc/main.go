@@ -18,26 +18,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
+	"comp/internal/cli"
 	"comp/internal/core"
 	"comp/internal/pass"
 	"comp/internal/runtime"
 	"comp/internal/tune"
-	"comp/internal/vm"
 )
-
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
-		fmt.Fprintln(stderr, "compc:", err)
-		return 2
-	}
-	return 0
-}
 
 func main() {
 	streaming := flag.Bool("streaming", true, "enable data streaming (SIII)")
@@ -53,10 +41,10 @@ func main() {
 	auto := flag.Bool("auto", false, "insert offload clauses into plain OpenMP code first (Apricot mode)")
 	tuneFlag := flag.Bool("tune", false, "pick the pass pipeline and block count with the cost-model tuner (internal/tune); spends simulated probe runs, overrides -passes and the per-pass flags")
 	tuneModel := flag.String("tune-model", "", "JSON `file` the -tune learned model is loaded from and saved back to (repeat compiles converge in 0-2 probes)")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine for measured tuning runs: vm, interp, or columnar")
+	execMode := cli.ExecFlag(flag.CommandLine)
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := cli.SetExec("compc", *execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 

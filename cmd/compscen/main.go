@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 
+	"comp/internal/cli"
 	"comp/internal/scenario"
 	"comp/internal/vm"
 )
@@ -55,7 +56,7 @@ common flags (run/verify/trace/sched/show):
   -file path       a scenario JSON file instead of a built-in
   -seed n          trace seed (default 1)
   -json path       write the machine-readable result to path ("-" = stdout)
-  -exec engine     MiniC execution engine: vm (default), interp, or columnar
+  -exec engine     MiniC execution engine: vm (default) or interp
 `
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -118,7 +119,7 @@ func parseOpts(cmd string, args []string, stderr io.Writer) (*cmdOpts, error) {
 	file := fs.String("file", "", "scenario JSON file")
 	seed := fs.Int64("seed", 1, "trace seed")
 	jsonOut := fs.String("json", "", "write machine-readable result to path (\"-\" = stdout)")
-	exec := fs.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	exec := cli.ExecFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -12,23 +12,24 @@ import (
 )
 
 // TestExecFlagTable pins the -exec contract end-to-end through run(): the
-// three engine names are accepted, anything else exits 2 with a usage
-// error whose first line names every valid mode.
+// two engine names are accepted, anything else ("columnar" included, no
+// longer a mode) exits 2 with a usage error whose first line names both
+// valid modes.
 func TestExecFlagTable(t *testing.T) {
 	defer vm.SetExecMode(vm.ExecVM)
-	for _, mode := range []string{"vm", "interp", "columnar"} {
+	for _, mode := range []string{"vm", "interp"} {
 		code, _, stderr := runCLI("show", "-scenario", "steady", "-exec", mode)
 		if code != 0 {
 			t.Errorf("-exec %s: exit %d, stderr %s", mode, code, stderr)
 		}
 	}
-	for _, mode := range []string{"", "VM", "Columnar", "jit", "vm,interp"} {
+	for _, mode := range []string{"columnar", "", "VM", "Columnar", "jit", "vm,interp"} {
 		code, _, stderr := runCLI("show", "-scenario", "steady", "-exec", mode)
 		if code != 2 {
 			t.Errorf("-exec %q: exit %d, want 2", mode, code)
 		}
 		first, _, _ := strings.Cut(stderr, "\n")
-		for _, want := range []string{"compscen:", "unknown exec mode", "interp", "vm", "columnar"} {
+		for _, want := range []string{"compscen:", "unknown exec mode", "vm or interp"} {
 			if !strings.Contains(first, want) {
 				t.Errorf("-exec %q: first stderr line lacks %q: %s", mode, want, first)
 			}

@@ -34,24 +34,13 @@ import (
 	"sync"
 	"time"
 
+	"comp/internal/cli"
 	"comp/internal/fleet"
 	"comp/internal/serve"
 	"comp/internal/sim/fault"
 	"comp/internal/sim/metrics"
-	"comp/internal/vm"
 	"comp/internal/workloads"
 )
-
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
-		fmt.Fprintln(stderr, "compserve:", err)
-		return 2
-	}
-	return 0
-}
 
 func main() {
 	clients := flag.Int("clients", 64, "concurrent synthetic clients")
@@ -63,7 +52,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 	verify := flag.Bool("verify", false, "replay the trace on a second fresh server and require bit-identical outputs")
 	jsonOut := flag.String("json", "", "also write the metrics report as JSON to this file (\"-\" = stdout)")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	execMode := cli.ExecFlag(flag.CommandLine)
 	fleetMode := flag.Bool("fleet", false, "shard the trace over a multi-device fleet (consistent-hash routing + work stealing)")
 	hosts := flag.Int("hosts", 2, "simulated hosts for -fleet")
 	devices := flag.Int("devices", 2, "devices per host for -fleet")
@@ -71,7 +60,7 @@ func main() {
 	loss := flag.Bool("loss", false, "fail one device mid-trace under a fault storm, then restore it")
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := cli.SetExec("compserve", *execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 

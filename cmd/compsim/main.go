@@ -25,10 +25,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 
+	"comp/internal/cli"
 	"comp/internal/core"
 	"comp/internal/interp"
 	"comp/internal/minic"
@@ -39,20 +39,8 @@ import (
 	"comp/internal/sim/metrics"
 	"comp/internal/transform"
 	tunepkg "comp/internal/tune"
-	"comp/internal/vm"
 	"comp/internal/workloads"
 )
-
-// setExecMode installs the requested MiniC engine for the whole process,
-// or writes a one-line usage error naming the valid modes to stderr and
-// returns the usage exit code.
-func setExecMode(mode string, stderr io.Writer) int {
-	if err := vm.SetExecMode(mode); err != nil {
-		fmt.Fprintln(stderr, "compsim:", err)
-		return 2
-	}
-	return 0
-}
 
 func main() {
 	optimize := flag.Bool("optimize", false, "apply the COMP optimizations before running")
@@ -70,10 +58,10 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 	tuneFlag := flag.Bool("tune", false, "pick the pass pipeline and block count with the cost-model tuner before running (overrides -optimize/-passes/-blocks)")
 	tuneModel := flag.String("tune-model", "", "JSON `file` the -tune learned model is loaded from and saved back to")
-	execMode := flag.String("exec", vm.ExecVM, "MiniC execution engine: vm, interp, or columnar")
+	execMode := cli.ExecFlag(flag.CommandLine)
 	flag.Parse()
 
-	if code := setExecMode(*execMode, os.Stderr); code != 0 {
+	if code := cli.SetExec("compsim", *execMode, os.Stderr); code != 0 {
 		os.Exit(code)
 	}
 

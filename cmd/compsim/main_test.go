@@ -5,48 +5,31 @@ import (
 	"strings"
 	"testing"
 
+	"comp/internal/cli"
 	"comp/internal/vm"
 )
 
-// TestExecFlagTable pins the -exec contract: the three engine names are
-// accepted silently, anything else is rejected with exit code 2 and a
-// one-line usage error that names every valid mode.
+// TestExecFlagTable pins compsim's -exec contract through the shared
+// helper: vm and interp are accepted; "columnar" is not a mode any more
+// and fails like any unknown name, with exit code 2 and a one-line usage
+// error that starts with the command's name. cli.TestSetExec holds the
+// full table.
 func TestExecFlagTable(t *testing.T) {
 	defer vm.SetExecMode(vm.ExecVM)
-	cases := []struct {
+	for _, tc := range []struct {
 		mode string
-		ok   bool
-	}{
-		{"vm", true},
-		{"interp", true},
-		{"columnar", true},
-		{"", false},
-		{"VM", false},
-		{"Columnar", false},
-		{"columnar ", false},
-		{"jit", false},
-		{"vm,interp", false},
-	}
-	for _, tc := range cases {
+		code int
+	}{{"vm", 0}, {"interp", 0}, {"columnar", 2}, {"Columnar", 2}} {
 		var errb bytes.Buffer
-		code := setExecMode(tc.mode, &errb)
-		if tc.ok {
-			if code != 0 || errb.Len() != 0 {
-				t.Errorf("-exec %q: exit %d, stderr %q; want silent success", tc.mode, code, errb.String())
-			}
-			continue
-		}
-		if code != 2 {
-			t.Errorf("-exec %q: exit %d, want 2", tc.mode, code)
+		if code := cli.SetExec("compsim", tc.mode, &errb); code != tc.code {
+			t.Errorf("-exec %q: exit %d, want %d", tc.mode, code, tc.code)
 		}
 		out := errb.String()
-		if strings.Count(out, "\n") != 1 {
-			t.Errorf("-exec %q: usage error is not one line:\n%s", tc.mode, out)
+		if tc.code == 0 && out != "" {
+			t.Errorf("-exec %q: stderr %q, want silent success", tc.mode, out)
 		}
-		for _, want := range []string{"compsim:", "unknown exec mode", "interp", "vm", "columnar"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("-exec %q: usage error lacks %q: %s", tc.mode, want, out)
-			}
+		if tc.code != 0 && (!strings.HasPrefix(out, "compsim: unknown exec mode") || strings.Count(out, "\n") != 1) {
+			t.Errorf("-exec %q: want a one-line \"compsim: unknown exec mode\" error, got %q", tc.mode, out)
 		}
 	}
 }

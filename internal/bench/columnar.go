@@ -157,33 +157,27 @@ func soaVariant(src string) (string, error) {
 	return minic.Print(f), nil
 }
 
-// columnarSource measures one source under the scalar VM and the columnar
-// VM, recording how many loops lowered to vector ops.
+// columnarSource measures one source under the scalar-only VM and the VM
+// with its columnar tier, recording how many loops lowered to vector ops.
 func columnarSource(name, src string, setup func(*interp.Program) error, iters int) (ColumnarRow, error) {
 	row := ColumnarRow{Name: name}
-	for _, mode := range []string{vm.ExecVM, vm.ExecColumnar} {
+	var ns [2]int64
+	for i, mk := range []func(*interp.Program) (*vm.Engine, error){vm.NewScalarEngine, vm.NewEngine} {
 		p, err := interp.Compile(src)
 		if err != nil {
 			return row, fmt.Errorf("compile: %w", err)
 		}
-		e, err := vm.NewEngine(p)
+		e, err := mk(p)
 		if err != nil {
 			return row, fmt.Errorf("vm compile: %w", err)
 		}
 		row.VecLoops = e.Module().VecLoopCount()
-		if err := vm.Apply(p, mode); err != nil {
-			return row, err
-		}
-		ns, err := timeRun(p, setup, iters)
-		if err != nil {
-			return row, fmt.Errorf("%s run: %w", mode, err)
-		}
-		if mode == vm.ExecVM {
-			row.VMNs = ns
-		} else {
-			row.ColumnarNs = ns
+		p.SetEngine(e)
+		if ns[i], err = timeRun(p, setup, iters); err != nil {
+			return row, fmt.Errorf("run: %w", err)
 		}
 	}
+	row.VMNs, row.ColumnarNs = ns[0], ns[1]
 	row.Speedup = float64(row.VMNs) / float64(row.ColumnarNs)
 	return row, nil
 }

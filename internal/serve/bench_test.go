@@ -32,18 +32,25 @@ int main(void) {
 
 // BenchmarkServeWarmRequest measures one request on a warm plan — the
 // plan-cache hit path: a program for the request, one scheduler run, and
-// the outputs copied into the response. The server is stepped, so the
-// figure holds no dispatcher hand-off, and pins the bytecode VM.
+// the outputs copied into the response — for the four workloads of
+// compperf's serve-hot mix and a tiny inline program. Like serve-hot, the
+// server tunes its plans and schedules over 4 streams; it is stepped, so
+// the figure holds no dispatcher hand-off, and pins the VM. One Planner
+// serves every run, so each plan is tuned once per process.
 func BenchmarkServeWarmRequest(b *testing.B) {
+	pl := NewPlanner()
 	for _, bc := range []struct {
 		name string
 		job  Job
 	}{
 		{"nn", Job{Workload: "nn"}},
+		{"dedup", Job{Workload: "dedup"}},
+		{"srad", Job{Workload: "srad"}},
+		{"bfs", Job{Workload: "bfs"}},
 		{"tiny", Job{Key: "tiny", Source: tinySource, Outputs: []string{"b"}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, err := New(Config{Streams: 2, Stepped: true, Exec: vm.ExecVM})
+			s, err := New(Config{Streams: 4, Stepped: true, Exec: vm.ExecVM, Tune: true, Planner: pl})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -124,10 +124,10 @@ func countCompiles(pl *Planner) func() map[string]int {
 
 // TestServeCompilesOncePerPlanAndMode spreads requests for a registry
 // workload and an inline source over several batches on two fleet devices
-// sharing one Planner, in both VM engine modes. Each (plan, mode) pair
-// compiles exactly once — the inline plan's validation compile is the one
-// — and every response, per-request Setup overrides included, matches a
-// fresh compile bit for bit.
+// sharing one Planner, on the VM. Each plan compiles exactly once — the
+// inline plan's validation compile is the one — and every response,
+// per-request Setup overrides included, matches a fresh compile bit for
+// bit.
 func TestServeCompilesOncePerPlanAndMode(t *testing.T) {
 	pl := NewPlanner()
 	compiles := countCompiles(pl)
@@ -137,66 +137,61 @@ func TestServeCompilesOncePerPlanAndMode(t *testing.T) {
 		{Workload: "nn"},
 		{Key: "leak", Source: leakSource, Outputs: leakOutputs, Setup: leakInputs(7, 10)},
 	}
-	modes := []string{vm.ExecVM, vm.ExecColumnar}
+	var devs [2]*Server
+	for d := range devs {
+		s, err := New(Config{Streams: 2, QueueDepth: 16, MaxBatch: 3, Stepped: true, Planner: pl, Exec: vm.ExecVM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		devs[d] = s
+	}
+	var tickets []*Ticket
+	for i := 0; i < 16; i++ {
+		tk, err := devs[i%2].Enqueue(jobs[i%len(jobs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+		if i%5 == 4 {
+			devs[0].StepBatch()
+			devs[1].StepBatch()
+		}
+	}
+	for _, s := range devs {
+		for s.StepBatch() > 0 {
+		}
+		if rep := s.Report(); rep.Batches < 3 {
+			t.Fatalf("%d batches; the test needs requests spread over several", rep.Batches)
+		}
+	}
 	var keys []string
-	for _, mode := range modes {
-		var devs [2]*Server
-		for d := range devs {
-			s, err := New(Config{Streams: 2, QueueDepth: 16, MaxBatch: 3, Stepped: true, Planner: pl, Exec: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			devs[d] = s
+	seen := map[string]bool{}
+	for i, tk := range tickets {
+		resp, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		var tickets []*Ticket
-		for i := 0; i < 16; i++ {
-			tk, err := devs[i%2].Enqueue(jobs[i%len(jobs)])
-			if err != nil {
-				t.Fatal(err)
-			}
-			tickets = append(tickets, tk)
-			if i%5 == 4 {
-				devs[0].StepBatch()
-				devs[1].StepBatch()
-			}
+		want, err := freshRun(t, planOf(t, pl, resp.PlanKey), jobs[i%len(jobs)])
+		if err != nil {
+			t.Fatalf("request %d: fresh run: %v", i, err)
 		}
-		for _, s := range devs {
-			for s.StepBatch() > 0 {
-			}
-			if rep := s.Report(); rep.Batches < 3 {
-				t.Fatalf("%s: %d batches; the test needs requests spread over several", mode, rep.Batches)
-			}
+		if !outputsEqual(resp.Outputs, want) {
+			t.Fatalf("request %d (%s): outputs differ from a fresh compile", i, resp.PlanKey)
 		}
-		seen := map[string]bool{}
-		for i, tk := range tickets {
-			resp, err := tk.Wait()
-			if err != nil {
-				t.Fatalf("%s request %d: %v", mode, i, err)
-			}
-			want, err := freshRun(t, planOf(t, pl, resp.PlanKey), jobs[i%len(jobs)])
-			if err != nil {
-				t.Fatalf("%s request %d: fresh run: %v", mode, i, err)
-			}
-			if !outputsEqual(resp.Outputs, want) {
-				t.Fatalf("%s request %d (%s): outputs differ from a fresh compile", mode, i, resp.PlanKey)
-			}
-			if !seen[resp.PlanKey] && mode == modes[0] {
-				keys = append(keys, resp.PlanKey)
-			}
-			seen[resp.PlanKey] = true
+		if !seen[resp.PlanKey] {
+			keys = append(keys, resp.PlanKey)
 		}
+		seen[resp.PlanKey] = true
 	}
 	got := compiles()
 	for _, key := range keys {
-		for _, mode := range modes {
-			if n := got[key+" "+mode]; n != 1 {
-				t.Errorf("plan %s compiled %d times for %s, want once", key, n, mode)
-			}
+		if n := got[key+" "+vm.ExecVM]; n != 1 {
+			t.Errorf("plan %s compiled %d times, want once", key, n)
 		}
 	}
-	if len(keys) != 2 || len(got) != len(keys)*len(modes) {
-		t.Errorf("compiles %v over plans %v: want exactly one per plan and VM mode", got, keys)
+	if len(keys) != 2 || len(got) != len(keys) {
+		t.Errorf("compiles %v over plans %v: want exactly one per plan", got, keys)
 	}
 }
 
@@ -260,8 +255,7 @@ func TestServeFaultedRequestLeavesNoState(t *testing.T) {
 // TestServeExecModeFollowsProcessDefault switches the process default
 // engine between requests on one server with Config.Exec empty: each
 // request runs on the engine a fresh compile would pick — the plan's
-// shared module for "vm" and "columnar", a per-request tree-walker
-// compile for "interp".
+// shared module for "vm", a per-request tree-walker compile for "interp".
 func TestServeExecModeFollowsProcessDefault(t *testing.T) {
 	prev := vm.ExecMode()
 	defer vm.SetExecMode(prev)
@@ -282,7 +276,7 @@ func TestServeExecModeFollowsProcessDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, mode := range []string{vm.ExecVM, vm.ExecInterp, vm.ExecColumnar, vm.ExecVM, vm.ExecInterp} {
+	for i, mode := range []string{vm.ExecVM, vm.ExecInterp, vm.ExecVM, vm.ExecInterp} {
 		if err := vm.SetExecMode(mode); err != nil {
 			t.Fatal(err)
 		}
@@ -300,8 +294,8 @@ func TestServeExecModeFollowsProcessDefault(t *testing.T) {
 			if ran.Engine() != nil || ran.File() == nil {
 				t.Fatalf("request %d: ran on %T, want a fresh tree-walker compile", i, ran.Engine())
 			}
-		} else if x := pl.executable(plan, mode); ran.Engine() != x.engine || ran.File() != nil {
-			t.Fatalf("request %d: did not run on the plan's %s module", i, mode)
+		} else if x := pl.executable(plan); ran.Engine() != x.engine || ran.File() != nil {
+			t.Fatalf("request %d: did not run on the plan's module", i)
 		}
 		want, err := freshRun(t, plan, job)
 		if err != nil {
@@ -311,7 +305,7 @@ func TestServeExecModeFollowsProcessDefault(t *testing.T) {
 			t.Fatalf("request %d (%s): outputs differ from a fresh compile", i, mode)
 		}
 	}
-	if want := fmt.Sprint([]string{vm.ExecVM, vm.ExecInterp, vm.ExecColumnar, vm.ExecInterp}); fmt.Sprint(compiled) != want {
+	if want := fmt.Sprint([]string{vm.ExecVM, vm.ExecInterp, vm.ExecInterp}); fmt.Sprint(compiled) != want {
 		t.Fatalf("compiles by mode %v, want %s", compiled, want)
 	}
 }

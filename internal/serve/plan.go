@@ -20,11 +20,11 @@ import (
 // Plan is one cached serving plan: everything expensive about preparing a
 // request — optimizing the source, tuning the streaming block count by
 // measurement, and compiling the result — done once per (workload,
-// machine) key. The compiled code is kept per VM engine mode as a
-// read-only module plus the program's global layout; a request executes
-// on a fresh state-only instance of it (interp.NewInstance) and compiles
-// nothing. Only the tree-walker path (engine mode "interp", or a program
-// the VM declines) still compiles the source once per request.
+// machine) key. The VM code is kept as a read-only module plus the
+// program's global layout; a request executes on a fresh state-only
+// instance of it (interp.NewInstance) and compiles nothing. Only the
+// tree-walker path (engine mode "interp", or a program the VM declines)
+// still compiles the source once per request.
 type Plan struct {
 	// Key identifies the plan in the cache: the job key plus the machine
 	// configuration it was tuned for.
@@ -51,24 +51,20 @@ type Plan struct {
 	// jobs without a setup hook).
 	setup func(*interp.Program) error
 
-	// execs caches the compiled code per VM engine mode.
+	// exec caches the VM code once compiled.
 	execMu sync.Mutex
-	execs  map[string]executable
+	exec   *executable
 }
 
-// executable is a plan's code compiled for one VM engine mode: the
-// program's global layout and the read-only engine that every request's
-// instance runs. It holds no program, so no AST, tree-walker code or
-// array storage stays alive with the plan.
+// executable is a plan's code compiled for the VM: the program's global
+// layout and the read-only engine that every request's instance runs. It
+// holds no program, so no AST, tree-walker code or array storage stays
+// alive with the plan.
 type executable struct {
 	layout *interp.Layout
 	engine interp.Engine // nil when the VM declined the program
 	err    error
 }
-
-// vmMode reports whether an engine mode runs compiled bytecode, which a
-// plan compiles once and shares across requests.
-func vmMode(mode string) bool { return mode == vm.ExecVM || mode == vm.ExecColumnar }
 
 // planEntry is a cache slot with singleflight semantics: the first
 // requester builds, concurrent requesters for the same key block on ready
@@ -202,7 +198,7 @@ func cacheKey(job Job, cfg runtime.Config, tuned bool) (string, error) {
 // planFor returns the plan for a job, building it on first use. The cached
 // return reports whether the plan (or an in-flight build of it) already
 // existed. mode is the engine mode of the asking batch; a build that
-// compiles the final source anyway keeps that compile for mode.
+// compiles the final source for the VM anyway keeps that compile.
 func (pl *Planner) planFor(job Job, cfg runtime.Config, mode string) (plan *Plan, cached bool, err error) {
 	ct := pl.costTuner()
 	key, err := cacheKey(job, cfg, ct != nil)
@@ -306,17 +302,17 @@ func (pl *Planner) build(key string, job Job, cfg runtime.Config, mode string) (
 }
 
 // buildSource plans an inline-source job. Without Optimize the source is
-// served as written (the plan still validates it compiles, and keeps that
-// compile as mode's executable); with Optimize the block count is tuned by
-// measurement and the COMP pipeline applied, exactly as for registry
-// workloads.
+// served as written (the plan still validates it compiles, and keeps a VM
+// compile as the plan's executable); with Optimize the block count is
+// tuned by measurement and the COMP pipeline applied, exactly as for
+// registry workloads.
 func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
 	probeCfg := cfg
 	probeCfg.DisableTrace = true
 	src := job.Source
 	blocks, probes := 0, 0
 	var remarks pass.Remarks
-	var execs map[string]executable
+	var exec *executable
 	if job.Optimize {
 		base, err := core.TunedRun(job.Source, tune.Config{}, probeCfg, job.Setup)
 		if err != nil {
@@ -347,12 +343,12 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode str
 		}
 		src, blocks, probes = res.Source(), tr.Blocks, tr.Probes
 		remarks = res.Report.Remarks
-	} else if vmMode(mode) {
-		x := pl.compile(key, src, mode)
+	} else if mode == vm.ExecVM {
+		x := pl.compile(key, src)
 		if x.err != nil {
 			return nil, fmt.Errorf("serve: plan %s: %w", key, x.err)
 		}
-		execs = map[string]executable{mode: x}
+		exec = &x
 	} else {
 		pl.noteCompile(key, mode)
 		if _, err := interp.Compile(src); err != nil {
@@ -367,7 +363,7 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode str
 		Outputs:    append([]string(nil), job.Outputs...),
 		Remarks:    remarks,
 		setup:      job.Setup,
-		execs:      execs,
+		exec:       exec,
 	}, nil
 }
 
@@ -426,32 +422,23 @@ func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.C
 	}, nil
 }
 
-// executable returns the plan's code compiled for a VM engine mode,
-// compiling it on first use: once per plan and mode, whichever server or
-// fleet device asks.
-func (pl *Planner) executable(plan *Plan, mode string) executable {
+// executable returns the plan's VM code, compiling it on first use: once
+// per plan, whichever server or fleet device asks.
+func (pl *Planner) executable(plan *Plan) executable {
 	plan.execMu.Lock()
 	defer plan.execMu.Unlock()
-	x, ok := plan.execs[mode]
-	if !ok {
-		x = pl.compile(plan.Key, plan.Source, mode)
-		if plan.execs == nil {
-			plan.execs = map[string]executable{}
-		}
-		plan.execs[mode] = x
+	if plan.exec == nil {
+		x := pl.compile(plan.Key, plan.Source)
+		plan.exec = &x
 	}
-	return x
+	return *plan.exec
 }
 
-// compile compiles a plan's source for a VM engine mode and keeps only
-// what requests need to run it.
-func (pl *Planner) compile(key, src, mode string) executable {
-	pl.noteCompile(key, mode)
-	mk, err := vm.FactoryFor(mode)
-	if err != nil {
-		return executable{err: err}
-	}
-	p, err := interp.CompileWith(src, mk)
+// compile compiles a plan's source for the VM and keeps only what
+// requests need to run it.
+func (pl *Planner) compile(key, src string) executable {
+	pl.noteCompile(key, vm.ExecVM)
+	p, err := interp.CompileWith(src, vm.Factory)
 	if err != nil {
 		return executable{err: err}
 	}

@@ -103,8 +103,8 @@ type Config struct {
 	// across replays of the same submission sequence.
 	Stepped bool
 	// Exec pins the execution engine for every request this server runs:
-	// vm.ExecVM for bytecode, vm.ExecColumnar for bytecode with the
-	// columnar tier, vm.ExecInterp for the tree-walker, "" for the
+	// vm.ExecVM for bytecode (qualifying loops run in the VM's columnar
+	// batch tier), vm.ExecInterp for the tree-walker, "" for the
 	// process-wide default (vm.SetExecMode), read again for every batch.
 	Exec string
 }
@@ -651,14 +651,14 @@ func (s *Server) runBatch(batch []*pending) {
 	s.statsMu.Unlock()
 }
 
-// program returns a fresh program for one request. In a VM engine mode it
-// is a state-only instance of the plan's shared compiled code. The
+// program returns a fresh program for one request. In mode "vm" it is a
+// state-only instance of the plan's shared compiled code. The
 // tree-walker path — mode "interp", or a program the VM declines — compiles
 // the plan's source for every request, exactly as a standalone run would:
 // it is the oracle, not the serving path.
 func (s *Server) program(plan *Plan, mode string) (*interp.Program, error) {
-	if vmMode(mode) {
-		x := s.planner.executable(plan, mode)
+	if mode == vm.ExecVM {
+		x := s.planner.executable(plan)
 		if x.err != nil {
 			return nil, fmt.Errorf("serve: plan %s compile: %w", plan.Key, x.err)
 		}

@@ -216,20 +216,27 @@ func composePasses(t *testing.T, f *minic.File) map[string]int {
 	return fired
 }
 
-// vmRunSource is nullRunSource with the bytecode VM attached as the
-// execution engine, so the composed-transform differential also holds
-// under the second engine.
+// vmRunSource is nullRunSource on the scalar-only bytecode VM, so the
+// composed-transform differential also holds under the second engine.
 func vmRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.Attach)
+	return engineRunSource(t, src, setup, func(p *interp.Program) error {
+		e, err := vm.NewScalarEngine(p)
+		if err != nil {
+			return err
+		}
+		p.SetEngine(e)
+		return nil
+	})
 }
 
-// columnarRunSource is vmRunSource with the columnar batch tier enabled —
-// the transformed programs are exactly the regular, element-wise shapes
-// the tier targets, so this is where fused vector ops meet §IV rewrites.
+// columnarRunSource is nullRunSource on the VM as served (vm.Attach), its
+// columnar batch tier included — the transformed programs are exactly the
+// regular, element-wise shapes the tier targets, so this is where fused
+// vector ops meet §IV rewrites.
 func columnarRunSource(t *testing.T, src string, setup func(*interp.Program) error) *interp.Program {
 	t.Helper()
-	return engineRunSource(t, src, setup, vm.AttachColumnar)
+	return engineRunSource(t, src, setup, vm.Attach)
 }
 
 func engineRunSource(t *testing.T, src string, setup func(*interp.Program) error, attach func(*interp.Program) error) *interp.Program {

@@ -3,9 +3,36 @@ package vm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"comp/internal/interp"
 )
+
+// colScratch is the columnar tier's working memory: colBlock-sized
+// register columns, the per-batch register table (cLoad rebinds entries
+// to array windows) and the resolved site arrays. A run takes one from
+// colPool at its first vector loop and returns it when the run exits,
+// faults included, so requests reuse columns instead of allocating them.
+type colScratch struct {
+	cols [][]float64
+	regs [][]float64
+	arrs []*interp.Array
+}
+
+var colPool = sync.Pool{New: func() any { return new(colScratch) }}
+
+// releaseCols returns the run's column scratch to colPool, dropping its
+// references to program arrays first, and adds the run's batches to the
+// engine's count.
+func (m *machine) releaseCols() {
+	if m.col == nil {
+		return
+	}
+	clear(m.col.regs)
+	clear(m.col.arrs)
+	colPool.Put(m.col)
+	m.eng.vecRuns.Add(m.vecRuns)
+}
 
 // runVecLoop executes one fused loop in blocked columnar batches, then
 // falls through to the unchanged scalar head. Every bail-out path simply
@@ -15,7 +42,7 @@ import (
 // would have completed without faulting — ragged tails, out-of-range
 // indices, and budget exhaustion all land in the scalar code.
 func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp.Array) {
-	if !m.colOn {
+	if m.eng.scalar {
 		return
 	}
 	if m.budgetOn && m.budget <= 0 {
@@ -33,10 +60,14 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 		return
 	}
 	ilo := int64(lo)
-	if cap(m.colArrs) < len(d.Sites) {
-		m.colArrs = make([]*interp.Array, len(d.Sites))
+	if m.col == nil {
+		m.col = colPool.Get().(*colScratch)
 	}
-	arrs := m.colArrs[:len(d.Sites)]
+	c := m.col
+	if len(c.arrs) < len(d.Sites) {
+		c.arrs = make([]*interp.Array, len(d.Sites))
+	}
+	arrs := c.arrs[:len(d.Sites)]
 	for i, s := range d.Sites {
 		var a *interp.Array
 		if s.Local {
@@ -97,6 +128,7 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 		return
 	}
 	m.colExec(ch, d, f, arrs, ilo, k)
+	m.vecRuns++
 
 	// Finalization: the same accounting K scalar iterations perform.
 	// Work: condition + body + post charges per trip.
@@ -136,39 +168,27 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	if d.IdxSlot >= 0 {
 		f[d.IdxSlot] = end
 	} else {
-		m.gstoreScalar(d.IdxG, end)
+		m.gstore(d.IdxG, end)
 	}
-}
-
-// gstoreScalar writes a scalar global with OpStoreG's device-aware
-// resolution (kernel stores create the device cell on demand).
-func (m *machine) gstoreScalar(gi int32, v float64) {
-	if m.onDevice {
-		dc := &m.devCells[gi]
-		if dc.cell == nil {
-			dc.cell = m.p.EnsureDevScalar(m.mod.Globals[gi].Name)
-			dc.known = true
-		}
-		dc.cell.V = v
-		return
-	}
-	m.globals[gi].Cell().V = v
 }
 
 // colExec runs the column program over k iterations in blocks of colBlock.
 func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp.Array, ilo, k int64) {
 	n := int(d.NRegs)
-	for len(m.colPool) < n {
-		m.colPool = append(m.colPool, make([]float64, colBlock))
+	c := m.col
+	if len(c.cols) < n {
+		slab := make([]float64, n*colBlock)
+		c.cols = make([][]float64, n)
+		for i := range c.cols {
+			c.cols[i] = slab[i*colBlock : (i+1)*colBlock : (i+1)*colBlock]
+		}
+		c.regs = make([][]float64, n)
 	}
-	if cap(m.colRegs) < n {
-		m.colRegs = make([][]float64, n)
-	}
-	regs := m.colRegs[:n]
+	regs := c.regs[:n]
 	// Broadcast loop-invariant scalars once per batch; the body cannot
 	// write them (qualification rejects such loops).
 	for _, im := range d.Imms {
-		col := m.colPool[im.Dst]
+		col := c.cols[im.Dst]
 		var val float64
 		switch im.Kind {
 		case vimConst:
@@ -190,7 +210,7 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 		base := int(ilo + done)
 		// Restore register headers: cLoad rebinds views to fresh windows
 		// each block; everything else reuses its pooled column.
-		copy(regs, m.colPool[:n])
+		copy(regs, c.cols[:n])
 		if d.IotaReg >= 0 {
 			col := regs[d.IotaReg]
 			for j := 0; j < bn; j++ {

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"comp/internal/interp"
 )
@@ -11,12 +12,15 @@ import (
 // tree-walker. It holds no program state: each Run gets a fresh machine
 // over the Program it is handed, so one Engine serves the program it was
 // compiled from and every instance of that program's Layout, across
-// Reset/Run cycles and from concurrent goroutines.
+// Reset/Run cycles and from concurrent goroutines. Loops that qualified
+// at compile time run through the columnar batch tier (OpVecLoop).
 type Engine struct {
 	mod *Module
-	// columnar enables the batched columnar tier for qualifying loops;
-	// the bytecode is identical either way (OpVecLoop is a no-op when off).
-	columnar bool
+	// scalar turns OpVecLoop into a no-op (NewScalarEngine); the bytecode
+	// is identical either way.
+	scalar bool
+	// vecRuns counts the batches the columnar tier ran, for tests.
+	vecRuns atomic.Int64
 }
 
 // NewEngine compiles a Program to bytecode.
@@ -28,14 +32,15 @@ func NewEngine(p *interp.Program) (*Engine, error) {
 	return &Engine{mod: mod}, nil
 }
 
-// NewColumnarEngine compiles a Program to bytecode with the columnar
-// batch tier enabled.
-func NewColumnarEngine(p *interp.Program) (*Engine, error) {
+// NewScalarEngine is NewEngine with the columnar tier off: every loop runs
+// as scalar bytecode. It exists for the differential tests and the
+// columnar-vs-scalar benchmark report; nothing else selects it.
+func NewScalarEngine(p *interp.Program) (*Engine, error) {
 	e, err := NewEngine(p)
 	if err != nil {
 		return nil, err
 	}
-	e.columnar = true
+	e.scalar = true
 	return e, nil
 }
 
@@ -48,28 +53,16 @@ func Factory(p *interp.Program) (interp.Engine, error) {
 	return e, nil
 }
 
-// ColumnarFactory is Factory with the columnar tier enabled.
-func ColumnarFactory(p *interp.Program) (interp.Engine, error) {
-	e, err := NewColumnarEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// FactoryFor returns the engine factory behind an exec mode: Factory for
-// "vm", ColumnarFactory for "columnar", nil (the tree-walker) for
-// "interp".
-func FactoryFor(mode string) (interp.EngineFactory, error) {
+// factoryFor returns the engine factory behind an exec mode: Factory for
+// "vm", nil (the tree-walker) for "interp".
+func factoryFor(mode string) (interp.EngineFactory, error) {
 	switch mode {
 	case ExecInterp:
 		return nil, nil
 	case ExecVM:
 		return Factory, nil
-	case ExecColumnar:
-		return ColumnarFactory, nil
 	}
-	return nil, fmt.Errorf("unknown exec mode %q (want %s, %s, or %s)", mode, ExecInterp, ExecVM, ExecColumnar)
+	return nil, fmt.Errorf("unknown exec mode %q (want %s or %s)", mode, ExecVM, ExecInterp)
 }
 
 // modeMu orders installs of the process default engine with the mode
@@ -87,15 +80,13 @@ func install(mode string, mk interp.EngineFactory) {
 }
 
 // Install makes the VM the default engine for every subsequently compiled
-// program; InstallColumnar additionally turns on the columnar batch tier;
-// Uninstall restores the tree-walker.
-func Install()         { install(ExecVM, Factory) }
-func InstallColumnar() { install(ExecColumnar, ColumnarFactory) }
-func Uninstall()       { install(ExecInterp, nil) }
+// program; Uninstall restores the tree-walker.
+func Install()   { install(ExecVM, Factory) }
+func Uninstall() { install(ExecInterp, nil) }
 
 // ExecMode reports the process default engine as an exec mode, as last
-// set by Install, InstallColumnar, Uninstall or SetExecMode; "interp"
-// before any of them runs.
+// set by Install, Uninstall or SetExecMode; "interp" before any of them
+// runs.
 func ExecMode() string {
 	modeMu.Lock()
 	defer modeMu.Unlock()
@@ -113,16 +104,6 @@ func Attach(p *interp.Program) error {
 	return nil
 }
 
-// AttachColumnar is Attach with the columnar batch tier enabled.
-func AttachColumnar(p *interp.Program) error {
-	e, err := NewColumnarEngine(p)
-	if err != nil {
-		return err
-	}
-	p.SetEngine(e)
-	return nil
-}
-
 // Module returns the compiled bytecode (for disassembly and tests).
 func (e *Engine) Module() *Module { return e.mod }
 
@@ -133,7 +114,9 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 	if p.Layout() != e.mod.Layout {
 		return fmt.Errorf("vm: engine compiled for a different program layout")
 	}
+	m := &machine{p: p, backend: b, mod: e.mod, eng: e}
 	defer func() {
+		m.releaseCols()
 		if r := recover(); r != nil {
 			if re, ok := r.(*interp.RuntimeError); ok {
 				err = re
@@ -142,7 +125,6 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 			panic(r)
 		}
 	}()
-	m := &machine{p: p, backend: b, mod: e.mod, colOn: e.columnar}
 	m.globals = make([]interp.GlobalHandle, len(e.mod.Globals))
 	for i, g := range e.mod.Globals {
 		m.globals[i] = p.GlobalAt(int(g.Slot))
@@ -164,15 +146,14 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 
 // ExecModes lists the -exec flag values the cmds accept.
 const (
-	ExecInterp   = "interp"
-	ExecVM       = "vm"
-	ExecColumnar = "columnar"
+	ExecInterp = "interp"
+	ExecVM     = "vm"
 )
 
 // SetExecMode configures the process-wide default engine from a -exec
 // flag value, returning an error on unknown modes.
 func SetExecMode(mode string) error {
-	mk, err := FactoryFor(mode)
+	mk, err := factoryFor(mode)
 	if err != nil {
 		return err
 	}
@@ -181,14 +162,13 @@ func SetExecMode(mode string) error {
 }
 
 // Apply pins one program's engine from an exec-mode string: "vm" compiles
-// it to bytecode, "columnar" does the same with the batch tier on,
-// "interp" forces the tree-walker, "" leaves whatever the process default
-// (SetExecMode / Install) already attached.
+// it to bytecode, "interp" forces the tree-walker, "" leaves whatever the
+// process default (SetExecMode / Install) already attached.
 func Apply(p *interp.Program, mode string) error {
 	if mode == "" {
 		return nil
 	}
-	mk, err := FactoryFor(mode)
+	mk, err := factoryFor(mode)
 	if err != nil {
 		return err
 	}

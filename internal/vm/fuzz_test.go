@@ -14,11 +14,11 @@ import (
 var bigLiteral = regexp.MustCompile(`[0-9]{6,}`)
 
 // FuzzVMDiff: any input the front end accepts must execute identically on
-// the tree-walker and the VM — same output, same globals, same backend
-// event stream, same error. A VM panic that is not a RuntimeError escapes
-// Run and fails the target. The checked-in corpus under testdata/fuzz
-// carries over the minic parser corpus; the generator seeds add full
-// programs with offload regions.
+// the tree-walker, the scalar-only VM and the VM with its columnar tier —
+// same output, same globals, same backend event stream, same error. A VM
+// panic that is not a RuntimeError escapes Run and fails the target. The
+// checked-in corpus under testdata/fuzz carries over the minic parser
+// corpus; the generator seeds add full programs with offload regions.
 func FuzzVMDiff(f *testing.F) {
 	for _, b := range workloads.All() {
 		if b.SharedMem {
@@ -44,31 +44,34 @@ func FuzzVMDiff(f *testing.F) {
 			t.Skip("front end rejects input")
 		}
 		ref.SetEngine(nil)
-		got, err := interp.Compile(src)
+		scalar, err := interp.Compile(src)
 		if err != nil {
 			t.Fatalf("second compile of accepted input failed: %v", err)
+		}
+		e, err := vm.NewScalarEngine(scalar)
+		if err != nil {
+			t.Fatalf("scalar vm rejects a program the tree-walker accepted: %v", err)
+		}
+		scalar.SetEngine(e)
+		const budget = 50_000
+		refRes := execProgram(ref, nil, budget)
+		compareRunsAs(t, refRes, execProgram(scalar, nil, budget), "scalar vm")
+
+		got, err := interp.Compile(src)
+		if err != nil {
+			t.Fatalf("third compile of accepted input failed: %v", err)
 		}
 		if err := vm.Attach(got); err != nil {
 			t.Fatalf("vm rejects a program the tree-walker accepted: %v", err)
 		}
-		const budget = 50_000
-		refRes := execProgram(ref, nil, budget)
 		compareRuns(t, refRes, execProgram(got, nil, budget))
-
-		col, err := interp.Compile(src)
-		if err != nil {
-			t.Fatalf("third compile of accepted input failed: %v", err)
-		}
-		if err := vm.AttachColumnar(col); err != nil {
-			t.Fatalf("columnar vm rejects a program the tree-walker accepted: %v", err)
-		}
-		compareRunsAs(t, refRes, execProgram(col, nil, budget), "columnar")
 	})
 }
 
-// FuzzColumnarDiff: the columnar tier against the tree-walker alone, with
-// seeds biased toward loops that actually lower to fused vector ops —
-// batched stores, ragged tails, eager selects, read-modify-write sites.
+// FuzzColumnarDiff: the VM and its columnar tier against the tree-walker
+// alone, with seeds biased toward loops that actually lower to fused
+// vector ops — batched stores, ragged tails, eager selects,
+// read-modify-write sites.
 func FuzzColumnarDiff(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(genProgram(seed))
@@ -90,10 +93,10 @@ func FuzzColumnarDiff(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second compile of accepted input failed: %v", err)
 		}
-		if err := vm.AttachColumnar(got); err != nil {
-			t.Fatalf("columnar vm rejects a program the tree-walker accepted: %v", err)
+		if err := vm.Attach(got); err != nil {
+			t.Fatalf("vm rejects a program the tree-walker accepted: %v", err)
 		}
 		const budget = 50_000
-		compareRunsAs(t, execProgram(ref, nil, budget), execProgram(got, nil, budget), "columnar")
+		compareRuns(t, execProgram(ref, nil, budget), execProgram(got, nil, budget))
 	})
 }

@@ -68,6 +68,7 @@ type machine struct {
 	onDevice      bool
 	tracking      bool // inside an offload region: record touched ranges
 	devTouched    []devTouch
+	devLast       int // devTouched entry hit last, checked before the scan
 	// Per-global caches, indexed like mod.Globals and valid only while
 	// onDevice. Device-buffer bindings cannot change inside a region
 	// (OpDevChk forbids rebinds; transfers clear the caches), so one
@@ -94,14 +95,13 @@ type machine struct {
 	// evaluated before the call, so it never nests.
 	pfVals []interface{}
 
-	// Columnar tier state: colOn gates OpVecLoop (a no-op when false);
-	// colPool holds reusable colBlock-sized columns, colRegs the per-batch
-	// register table (cLoad rebinds entries to array windows), colArrs the
-	// resolved site arrays. All scratch — reused across vector loops.
-	colOn   bool
-	colPool [][]float64
-	colRegs [][]float64
-	colArrs []*interp.Array
+	// Columnar tier state: eng is the running Engine (its scalar flag
+	// turns OpVecLoop into a no-op); col is the column scratch, taken from
+	// colPool at the run's first vector loop and returned when Run exits;
+	// vecRuns counts the batches the tier ran.
+	eng     *Engine
+	col     *colScratch
+	vecRuns int64
 }
 
 // frame holds one nesting level's locals and eval stacks.
@@ -174,30 +174,52 @@ func (m *machine) spendIteration(pos minic.Pos) {
 
 func (m *machine) touchDev(a *interp.Array, idx int64) {
 	ts := m.devTouched
+	k := m.devLast
+	if k >= len(ts) || ts[k].arr != a {
+		k = m.findTouch(a)
+		if k < 0 {
+			m.devLast = len(ts)
+			m.devTouched = append(ts, devTouch{arr: a, lo: idx, hi: idx})
+			return
+		}
+		m.devLast = k
+	}
+	ts[k].lo = min(ts[k].lo, idx)
+	ts[k].hi = max(ts[k].hi, idx)
+}
+
+// findTouch returns the devTouched entry for a, matched by pointer, else
+// by name (rebinding the entry to a), else -1. Names are unique in
+// devTouched, so touchDev may check the entry it hit last first.
+func (m *machine) findTouch(a *interp.Array) int {
+	ts := m.devTouched
 	for k := range ts {
 		if ts[k].arr == a {
-			if idx < ts[k].lo {
-				ts[k].lo = idx
-			}
-			if idx > ts[k].hi {
-				ts[k].hi = idx
-			}
-			return
+			return k
 		}
 	}
 	for k := range ts {
 		if ts[k].arr.Name == a.Name {
 			ts[k].arr = a
-			if idx < ts[k].lo {
-				ts[k].lo = idx
-			}
-			if idx > ts[k].hi {
-				ts[k].hi = idx
-			}
-			return
+			return k
 		}
 	}
-	m.devTouched = append(ts, devTouch{arr: a, lo: idx, hi: idx})
+	return -1
+}
+
+// elemSlot is the slow path of an element access: member offsets, and
+// the bounds fault. The ops inline the common case, a plain array
+// (Fields == 1) indexed in range, checking len(a.Data) so they skip Len's
+// divide.
+func (m *machine) elemSlot(ch *Chunk, acc *Access, a *interp.Array, i int64) int {
+	if i < 0 || i >= int64(a.Len()) {
+		m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+	}
+	off := 0
+	if acc.FieldOff >= 0 {
+		off = int(acc.FieldOff)
+	}
+	return int(i)*a.Fields + off
 }
 
 // resetDevCaches sizes (or clears) the per-global device caches at region
@@ -259,8 +281,7 @@ func (m *machine) garr(ch *Chunk, gi, posIdx int32) *interp.Array {
 	return a
 }
 
-// gval reads a scalar global with the same device-aware resolution as
-// OpLoadG, for the fused arithmetic forms.
+// gval reads a scalar global with OpLoadG's device-aware resolution.
 func (m *machine) gval(gi int32) float64 {
 	if m.onDevice {
 		dc := &m.devCells[gi]
@@ -273,6 +294,21 @@ func (m *machine) gval(gi int32) float64 {
 		}
 	}
 	return m.globals[gi].Cell().V
+}
+
+// gstore writes a scalar global with OpStoreG's device-aware resolution
+// (kernel stores create the device cell on demand).
+func (m *machine) gstore(gi int32, v float64) {
+	if m.onDevice {
+		dc := &m.devCells[gi]
+		if dc.cell == nil {
+			dc.cell = m.p.EnsureDevScalar(m.mod.Globals[gi].Name)
+			dc.known = true
+		}
+		dc.cell.V = v
+		return
+	}
+	m.globals[gi].Cell().V = v
 }
 
 func (m *machine) flush() {
@@ -355,33 +391,11 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			f[in.A] += float64(in.B)
 
 		case OpLoadG:
-			if m.onDevice {
-				dc := &m.devCells[in.A]
-				if !dc.known {
-					dc.cell = m.p.DevScalar(m.mod.Globals[in.A].Name)
-					dc.known = true
-				}
-				if dc.cell != nil {
-					st[sp] = dc.cell.V
-					sp++
-					break
-				}
-			}
-			st[sp] = m.globals[in.A].Cell().V
+			st[sp] = m.gval(in.A)
 			sp++
 		case OpStoreG:
 			sp--
-			v := st[sp]
-			if m.onDevice {
-				dc := &m.devCells[in.A]
-				if dc.cell == nil {
-					dc.cell = m.p.EnsureDevScalar(m.mod.Globals[in.A].Name)
-					dc.known = true
-				}
-				dc.cell.V = v
-			} else {
-				m.globals[in.A].Cell().V = v
-			}
+			m.gstore(in.A, st[sp])
 
 		case OpAdd:
 			sp--
@@ -584,42 +598,35 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			r[d.Slot] = interp.NewArrayFor(d.Name, d.Elem, n)
 
 		case OpLoadIdx:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			sp--
 			i := int64(st[sp])
 			rsp--
 			a := rs[rsp]
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if acc.IsGlobal && m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			st[sp] = a.Data[int(i)*a.Fields+off]
+			st[sp] = a.Data[k]
 			sp++
 		case OpStoreIdx:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			sp--
 			i := int64(st[sp])
 			rsp--
 			a := rs[rsp]
 			sp--
-			v := st[sp]
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if acc.IsGlobal && m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			a.Data[int(i)*a.Fields+off] = v
+			a.Data[k] = st[sp]
 
 		case OpCall:
 			callee := m.mod.Funcs[in.A]
@@ -693,21 +700,18 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			st[sp+1] = f[in.B]
 			sp += 2
 		case OpLoadIdxL:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			i := int64(f[in.B])
 			rsp--
 			a := rs[rsp]
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if acc.IsGlobal && m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			st[sp] = a.Data[int(i)*a.Fields+off]
+			st[sp] = a.Data[k]
 			sp++
 		case OpAddL:
 			st[sp-1] += f[in.A]
@@ -750,56 +754,45 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			st[sp] = f[in.A] / ch.Consts[in.B]
 			sp++
 		case OpStoreIdxL:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			i := int64(f[in.B])
 			rsp--
 			a := rs[rsp]
 			sp--
-			v := st[sp]
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if acc.IsGlobal && m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			a.Data[int(i)*a.Fields+off] = v
+			a.Data[k] = st[sp]
 		case OpLoadIdxG:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			a := m.garr(ch, acc.GIdx, acc.RefPos)
 			i := int64(f[in.B])
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			st[sp] = a.Data[int(i)*a.Fields+off]
+			st[sp] = a.Data[k]
 			sp++
 		case OpStoreIdxG:
-			acc := ch.Accesses[in.A]
+			acc := &ch.Accesses[in.A]
 			a := m.garr(ch, acc.GIdx, acc.RefPos)
 			i := int64(f[in.B])
 			sp--
-			v := st[sp]
-			if i < 0 || i >= int64(a.Len()) {
-				m.throwf(ch.Positions[acc.Pos], "index %d out of range for %s (len %d)", i, a.Name, a.Len())
+			k := int(i)
+			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
+				k = m.elemSlot(ch, acc, a, i)
 			}
 			if m.tracking {
 				m.touchDev(a, i)
 			}
-			off := 0
-			if acc.FieldOff >= 0 {
-				off = int(acc.FieldOff)
-			}
-			a.Data[int(i)*a.Fields+off] = v
+			a.Data[k] = st[sp]
 
 		case OpIncJmp:
 			f[in.B>>16] += float64(in.B&0xffff - incBias)
@@ -866,38 +859,14 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 		case OpRetV:
 			sp--
 			m.retVal = st[sp]
-			for len(m.regions) > regBase {
-				top := m.regions[len(m.regions)-1]
-				if top.kind == rPar {
-					m.parExit()
-				} else {
-					m.offExit(f, r)
-				}
-			}
+			m.unwind(regBase, f, r)
 			return 0
 		case OpRetL:
 			m.retVal = f[in.A]
-			for len(m.regions) > regBase {
-				top := m.regions[len(m.regions)-1]
-				if top.kind == rPar {
-					m.parExit()
-				} else {
-					m.offExit(f, r)
-				}
-			}
+			m.unwind(regBase, f, r)
 			return 0
 		case OpRet:
-			// Unwind any regions this frame opened (return inside an
-			// omp/offload body still runs the region exits, like the
-			// tree-walker's ctlReturn propagation).
-			for len(m.regions) > regBase {
-				top := m.regions[len(m.regions)-1]
-				if top.kind == rPar {
-					m.parExit()
-				} else {
-					m.offExit(f, r)
-				}
-			}
+			m.unwind(regBase, f, r)
 			return 0
 
 		default:
@@ -908,6 +877,19 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 		return st[sp-1]
 	}
 	return 0
+}
+
+// unwind exits the regions a returning frame opened: a return inside an
+// omp/offload body still runs the region exits, like the tree-walker's
+// ctlReturn propagation.
+func (m *machine) unwind(regBase int, f []float64, r []*interp.Array) {
+	for len(m.regions) > regBase {
+		if m.regions[len(m.regions)-1].kind == rPar {
+			m.parExit()
+		} else {
+			m.offExit(f, r)
+		}
+	}
 }
 
 func (m *machine) parExit() {

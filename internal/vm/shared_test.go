@@ -89,9 +89,10 @@ func sharedCases() []sharedCase {
 	return cases
 }
 
-// TestSharedModule compiles each program once per engine mode and runs
-// the one read-only module on fresh state-only instances
-// (interp.NewInstance): one, then several at once.
+// TestSharedModule compiles each program once for the VM and runs the one
+// read-only module on fresh state-only instances (interp.NewInstance):
+// one, then several at once, so concurrent runs also share the columnar
+// tier's pooled column scratch.
 // Every run must match the tree-walker bit for bit — outputs, scalars,
 // printf, every backend event with its Work, and the *RuntimeError
 // message and position — so no run can see another's state. Run it
@@ -107,38 +108,32 @@ func TestSharedModule(t *testing.T) {
 			if c.faults && !errors.As(ref.err, &fault) {
 				t.Fatalf("tree-walker did not fault: %v", ref.err)
 			}
-			for _, mode := range []string{vm.ExecVM, vm.ExecColumnar} {
-				mk, err := vm.FactoryFor(mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := interp.CompileWith(c.src, mk)
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				if p.Engine() == nil {
-					t.Fatalf("%s declined the program: %v", mode, p.EngineErr())
-				}
-				layout, eng := p.Layout(), p.Engine()
-				run := func() *runResult {
-					return execProgram(interp.NewInstance(layout, eng), c.setup, c.budget)
-				}
-				for k := 0; k < sequential; k++ {
-					compareShared(t, ref, run(), fmt.Sprintf("%s instance %d", mode, k))
-				}
-				got := make([]*runResult, concurrent)
-				var wg sync.WaitGroup
-				for k := range got {
-					wg.Add(1)
-					go func(k int) {
-						defer wg.Done()
-						got[k] = run()
-					}(k)
-				}
-				wg.Wait()
-				for k, g := range got {
-					compareShared(t, ref, g, fmt.Sprintf("%s concurrent instance %d", mode, k))
-				}
+			p, err := interp.CompileWith(c.src, vm.Factory)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			if p.Engine() == nil {
+				t.Fatalf("vm declined the program: %v", p.EngineErr())
+			}
+			layout, eng := p.Layout(), p.Engine()
+			run := func() *runResult {
+				return execProgram(interp.NewInstance(layout, eng), c.setup, c.budget)
+			}
+			for k := 0; k < sequential; k++ {
+				compareShared(t, ref, run(), fmt.Sprintf("instance %d", k))
+			}
+			got := make([]*runResult, concurrent)
+			var wg sync.WaitGroup
+			for k := range got {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					got[k] = run()
+				}(k)
+			}
+			wg.Wait()
+			for k, g := range got {
+				compareShared(t, ref, g, fmt.Sprintf("concurrent instance %d", k))
 			}
 		})
 	}

@@ -135,10 +135,14 @@ func execProgram(p *interp.Program, setup func(*interp.Program) error, budget in
 	return res
 }
 
+// execScalar names the scalar-only VM (vm.NewScalarEngine) in the
+// differential harness; it is not an exec mode.
+const execScalar = "scalar"
+
 // execSource compiles src and runs it on the requested engine
-// ("interp", "vm", or "columnar"). The reference run pins the
-// tree-walker explicitly so a process-wide vm.Install from another test
-// can never contaminate the oracle.
+// ("interp", "vm" with its columnar tier, or execScalar). The reference
+// run pins the tree-walker explicitly so a process-wide vm.Install from
+// another test can never contaminate the oracle.
 func execSource(t *testing.T, src string, setup func(*interp.Program) error, mode string, budget int64) *runResult {
 	t.Helper()
 	p, err := interp.Compile(src)
@@ -152,10 +156,12 @@ func execSource(t *testing.T, src string, setup func(*interp.Program) error, mod
 		if err := vm.Attach(p); err != nil {
 			t.Fatalf("vm attach: %v", err)
 		}
-	case vm.ExecColumnar:
-		if err := vm.AttachColumnar(p); err != nil {
-			t.Fatalf("columnar attach: %v", err)
+	case execScalar:
+		e, err := vm.NewScalarEngine(p)
+		if err != nil {
+			t.Fatalf("scalar vm compile: %v", err)
 		}
+		p.SetEngine(e)
 	default:
 		t.Fatalf("unknown exec mode %q", mode)
 	}
@@ -218,13 +224,13 @@ func firstDiffLine(a, b string) string {
 	return ""
 }
 
-// diffRun executes src on the tree-walker, the scalar VM, and the
-// columnar VM, requiring all three bit-identical.
+// diffRun executes src on the tree-walker, the scalar-only VM, and the
+// VM with its columnar tier, requiring all three bit-identical.
 func diffRun(t *testing.T, src string, setup func(*interp.Program) error, budget int64) {
 	t.Helper()
 	ref := execSource(t, src, setup, vm.ExecInterp, budget)
+	compareRunsAs(t, ref, execSource(t, src, setup, execScalar, budget), "scalar vm")
 	compareRunsAs(t, ref, execSource(t, src, setup, vm.ExecVM, budget), "vm")
-	compareRunsAs(t, ref, execSource(t, src, setup, vm.ExecColumnar, budget), "columnar")
 }
 
 // TestVMDiffWorkloads runs every MiniC workload through both engines: the
