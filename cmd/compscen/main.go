@@ -11,12 +11,12 @@
 //	compscen run -scenario steady -json -     # machine-readable result
 //	compscen verify -scenario hot-unplug      # two replays, bit-identical evidence
 //	compscen trace -scenario burst -seed 3    # dump the expanded request trace
-//	compscen sched -scenario steady           # raw-scheduler replay (no serving layer)
 //	compscen show -scenario mixed-chaos       # print a built-in as JSON
 //
-// Every command is deterministic in (scenario, seed): verify demands
-// bit-identical per-request outcomes and ServerReport across two replays,
-// which is the same check CI runs over every built-in.
+// A scenario replays as a one-device fleet (fleet.Replay). Every command
+// is deterministic in (scenario, seed): verify demands bit-identical
+// per-request outcomes and ServerReport across two replays, which is the
+// same check CI runs over every built-in.
 package main
 
 import (
@@ -49,9 +49,10 @@ commands:
   run       replay a scenario once and check the serving invariants
   verify    replay twice and require bit-identical outcomes and report
   trace     print the deterministic request trace for (scenario, seed)
-  sched     replay on the raw scheduler (no serving layer) and verify determinism
 
-common flags (run/verify/trace/sched/show):
+run and verify replay the trace as a one-device fleet on a virtual clock.
+
+common flags (run/verify/trace/show):
   -scenario name   a built-in scenario (see compscen list)
   -file path       a scenario JSON file instead of a built-in
   -seed n          trace seed (default 1)
@@ -74,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		err = list(stdout)
-	case "show", "run", "verify", "trace", "sched":
+	case "show", "run", "verify", "trace":
 		var opts *cmdOpts
 		opts, err = parseOpts(cmd, rest, stderr)
 		if err != nil {
@@ -91,8 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = verify(opts, stdout)
 		case "trace":
 			err = trace(opts, stdout)
-		case "sched":
-			err = sched(opts, stdout)
 		}
 	default:
 		fmt.Fprintf(stderr, "compscen: unknown command %q\n", cmd)
@@ -256,23 +255,4 @@ func trace(o *cmdOpts, w io.Writer) error {
 		return err
 	}
 	return writeOut(o.jsonOut, append(data, '\n'))
-}
-
-func sched(o *cmdOpts, w io.Writer) error {
-	rep, err := scenario.VerifyScheduler(o.sc, o.seed)
-	if err != nil {
-		return err
-	}
-	var faults, retries int64
-	for _, ws := range rep.Windows {
-		faults += ws.FaultsInjected
-		retries += ws.Retries
-	}
-	fmt.Fprintf(w, "sched %s (seed %d): %d requests executed over %d windows (%d skipped), 2 replays bit-identical\n",
-		o.sc.Name, o.seed, len(rep.Outputs), len(rep.Windows), rep.Skipped)
-	fmt.Fprintf(w, "  faults %d, retries %d\n", faults, retries)
-	if o.jsonOut == "" {
-		return nil
-	}
-	return writeOut(o.jsonOut, append(rep.StatsJSON, '\n'))
 }

@@ -56,6 +56,7 @@ func TestUsageAndBadArgs(t *testing.T) {
 		{"run", "-scenario", "steady", "-bogus"}, // unknown flag
 		{"verify", "-scenario", "x", "-file", "y"}, // mutually exclusive
 		{"list", "-json"},                          // list takes no flags
+		{"sched", "-scenario", "steady"},           // removed command
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(args...)
@@ -160,16 +161,6 @@ func TestTraceCommand(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"requests"`) {
 		t.Fatalf("trace JSON lacks requests: %.200s", raw)
-	}
-}
-
-func TestSchedCommand(t *testing.T) {
-	code, stdout, stderr := runCLI("sched", "-scenario", "steady")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "2 replays bit-identical") {
-		t.Fatalf("stdout: %s", stdout)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"comp/internal/cli"
 	"comp/internal/fleet"
 	"comp/internal/serve"
-	"comp/internal/sim/fault"
 	"comp/internal/sim/metrics"
 	"comp/internal/workloads"
 )
@@ -173,35 +172,6 @@ func validateFleetShape(hosts, devices int, loss bool) error {
 	return nil
 }
 
-// fleetVictim is the device -loss fails: the second device of host 0.
-const fleetVictim = "h0/d1"
-
-// fleetTrace turns the client fleet shape into a deterministic event trace:
-// clients×perClient submissions round-robin over the mix, a batch step
-// every eight submissions, and optionally a mid-trace storm + loss +
-// restore of one device.
-func fleetTrace(mix []string, clients, perClient int, deadline time.Duration, loss bool) []fleet.Event {
-	total := clients * perClient
-	var ev []fleet.Event
-	for i := 0; i < total; i++ {
-		ev = append(ev, fleet.Submit(serve.Job{Workload: mix[i%len(mix)], Deadline: deadline}))
-		if loss && i == total/3 {
-			ev = append(ev,
-				fleet.Storm(fleetVictim, fault.Uniform(11, 0.3)),
-				fleet.Fail(fleetVictim))
-		}
-		if loss && i == 2*total/3 {
-			ev = append(ev,
-				fleet.Restore(fleetVictim),
-				fleet.Storm(fleetVictim, fault.Config{}))
-		}
-		if i%8 == 7 {
-			ev = append(ev, fleet.Step())
-		}
-	}
-	return ev
-}
-
 // runFleetMode replays the client trace over a sharded fleet and prints the
 // fleet rollup. With verify the trace replays twice and the run fails
 // unless both replays are bit-identical: outputs, rejection set,
@@ -214,7 +184,7 @@ func runFleetMode(mix []string, hosts, devices, streams, queue, batch, steal, cl
 		devs[i].MaxBatch = batch
 	}
 	cfg := fleet.Config{Devices: devs, StealThreshold: steal}
-	events := fleetTrace(mix, clients, perClient, deadline, loss)
+	events := fleet.LossTrace(mix, clients*perClient, deadline, true, loss)
 
 	var res *fleet.ReplayResult
 	var err error

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"comp/internal/fleet"
-	"comp/internal/serve"
-	"comp/internal/sim/fault"
 )
 
 // The fleet report measures the sharded serving layer the way the serve
@@ -53,36 +51,6 @@ type FleetBenchReport struct {
 	Rows      []FleetRow `json:"scenarios"`
 }
 
-// fleetVictim is the device the device-loss scenario fails: the second
-// device of the first host, so the fleet keeps a survivor of each
-// plan-affinity class.
-const fleetVictim = "h0/d1"
-
-// fleetTrace builds one scenario's event trace: requests submissions over
-// the serve workload mix, a batch step every eight submissions, and — when
-// loss is set — a fault storm plus device loss a third of the way in,
-// restored at two thirds.
-func fleetTrace(requests int, steps, loss bool) []fleet.Event {
-	var ev []fleet.Event
-	for i := 0; i < requests; i++ {
-		ev = append(ev, fleet.Submit(serve.Job{Workload: ServeWorkloads[i%len(ServeWorkloads)]}))
-		if loss && i == requests/3 {
-			ev = append(ev,
-				fleet.Storm(fleetVictim, fault.Uniform(11, 0.3)),
-				fleet.Fail(fleetVictim))
-		}
-		if loss && i == 2*requests/3 {
-			ev = append(ev,
-				fleet.Restore(fleetVictim),
-				fleet.Storm(fleetVictim, fault.Config{}))
-		}
-		if steps && i%8 == 7 {
-			ev = append(ev, fleet.Step())
-		}
-	}
-	return ev
-}
-
 // FleetLoad replays the three bracket scenarios against a hosts × perHost
 // heterogeneous fleet and returns the report. Every figure is exact and
 // deterministic: a changed number always means a changed schedule or
@@ -112,7 +80,7 @@ func (r *Runner) FleetLoad(hosts, perHost, requests int) (*FleetBenchReport, err
 	}
 	for _, sc := range scenarios {
 		cfg := fleet.Config{Devices: fleet.DefaultDevices(hosts, perHost, sc.queue)}
-		res, err := fleet.Replay(cfg, fleetTrace(requests, sc.steps, sc.loss))
+		res, err := fleet.Replay(cfg, fleet.LossTrace(ServeWorkloads, requests, 0, sc.steps, sc.loss))
 		if err != nil {
 			return nil, fmt.Errorf("fleet %s: %w", sc.name, err)
 		}

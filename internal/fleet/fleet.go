@@ -380,13 +380,22 @@ func (f *Fleet) RestoreDevice(id string) error {
 // per-device events in a fleet). Valid on lost devices too: a drain under
 // a storm exercises the recovery ladder.
 func (f *Fleet) SetDeviceFaults(id string, fc fault.Config) error {
-	f.mu.Lock()
-	d, ok := f.devices[id]
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("fleet: unknown device %s", id)
+	d, err := f.device(id)
+	if err != nil {
+		return err
 	}
 	return d.srv.SetFaults(fc)
+}
+
+// device looks up a member by ID.
+func (f *Fleet) device(id string) (*device, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	d, ok := f.devices[id]
+	if !ok {
+		return nil, fmt.Errorf("fleet: unknown device %s", id)
+	}
+	return d, nil
 }
 
 // Devices returns the fleet member IDs sorted.
@@ -394,11 +403,9 @@ func (f *Fleet) Devices() []string { return append([]string(nil), f.order...) }
 
 // Signature returns a device's machine signature (plan-affinity class).
 func (f *Fleet) Signature(id string) (string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d, ok := f.devices[id]
-	if !ok {
-		return "", fmt.Errorf("fleet: unknown device %s", id)
+	d, err := f.device(id)
+	if err != nil {
+		return "", err
 	}
 	return d.sig, nil
 }

@@ -399,12 +399,83 @@ func TestReplayRejectsBadEvents(t *testing.T) {
 	if _, err := Verify(Config{Devices: DefaultDevices(1, 1, 4), Planner: serve.NewPlanner()}, nil); err == nil {
 		t.Error("Verify accepted a shared planner across replays")
 	}
+	if _, err := Replay(cfg, []Event{{Op: OpAdmitLimit, Device: "ghost", Limit: 1}}); err == nil {
+		t.Error("replay accepted an admit limit for an unknown device")
+	}
+	if _, err := Replay(cfg, []Event{{Op: OpStep, At: 5 * time.Millisecond}, {Op: OpStep, At: 4 * time.Millisecond}}); err == nil {
+		t.Error("replay accepted an event that goes back in time")
+	}
+}
+
+// TestReplayAdmitLimitAndTimes pins the two one-device trace controls:
+// OpAdmitLimit sheds exactly the submissions past the limit, and Event.At
+// sets the virtual clock that latencies are read from.
+func TestReplayAdmitLimitAndTimes(t *testing.T) {
+	const dev = "h0/d0"
+	ms := time.Millisecond
+	limit := func(n int, at time.Duration) Event { return Event{Op: OpAdmitLimit, Device: dev, Limit: n, At: at} }
+	submit := func(at time.Duration) Event { return Event{Op: OpSubmit, Job: synthJob(1), At: at} }
+	step := func(at time.Duration) Event { return Event{Op: OpStep, At: at} }
+	for _, c := range []struct {
+		name    string
+		events  []Event
+		shed    []int           // outcome indices answered ErrOverloaded
+		latency []time.Duration // per outcome; 0 for shed ones
+	}{
+		{"limit 2 sheds the third and fourth",
+			[]Event{limit(2, 0), submit(0), submit(0), submit(0), submit(0), step(0)},
+			[]int{2, 3}, []time.Duration{4 * ms, 3 * ms, 0, 0}},
+		{"limit 0 sheds everything",
+			[]Event{limit(0, 0), submit(0), submit(0)},
+			[]int{0, 1}, []time.Duration{0, 0}},
+		{"negative limit restores the full queue",
+			[]Event{limit(1, 0), submit(0), submit(0), limit(-1, 0), submit(0), step(0)},
+			[]int{1}, []time.Duration{4 * ms, 0, 1 * ms}},
+		{"a step on the queue answers at its time",
+			[]Event{submit(3 * ms), submit(4 * ms), step(10 * ms)},
+			nil, []time.Duration{7 * ms, 6 * ms}},
+		{"zero At ticks after an explicit time",
+			[]Event{submit(3 * ms), submit(0), step(0)},
+			nil, []time.Duration{2 * ms, 1 * ms}},
+		{"drain steps two ticks after the last event",
+			[]Event{submit(5 * ms)},
+			nil, []time.Duration{2 * ms}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Replay(Config{Devices: DefaultDevices(1, 1, 8)}, c.events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Outcomes) != len(c.latency) {
+				t.Fatalf("%d outcomes, want %d", len(res.Outcomes), len(c.latency))
+			}
+			shed := map[int]bool{}
+			for _, i := range c.shed {
+				shed[i] = true
+			}
+			for i, o := range res.Outcomes {
+				if shed[i] != errors.Is(o.Cause, serve.ErrOverloaded) {
+					t.Errorf("outcome %d: err %q, want shed=%v", i, o.Err, shed[i])
+				}
+				if !shed[i] && o.Err != "" {
+					t.Errorf("outcome %d failed: %s", i, o.Err)
+				}
+				if got := time.Duration(o.LatencyNs); got != c.latency[i] {
+					t.Errorf("outcome %d latency %v, want %v", i, got, c.latency[i])
+				}
+			}
+			if got := res.Report.Aggregate.Shed; got != int64(len(c.shed)) {
+				t.Errorf("report shed %d, want %d", got, len(c.shed))
+			}
+		})
+	}
 }
 
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpSubmit: "submit", OpFail: "fail", OpRestore: "restore",
-		OpFaults: "faults", OpStep: "step", Op(42): "fleet.Op(42)",
+		OpFaults: "faults", OpStep: "step", OpAdmitLimit: "admit-limit",
+		Op(42): "fleet.Op(42)",
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", int(op), got, want)

@@ -26,6 +26,9 @@ const (
 	OpFaults
 	// OpStep runs one batch on every device in ID order.
 	OpStep
+	// OpAdmitLimit caps Event.Device's admitted queue depth at Event.Limit
+	// (a queue squeeze; negative restores the full depth).
+	OpAdmitLimit
 )
 
 func (o Op) String() string {
@@ -40,16 +43,22 @@ func (o Op) String() string {
 		return "faults"
 	case OpStep:
 		return "step"
+	case OpAdmitLimit:
+		return "admit-limit"
 	}
 	return fmt.Sprintf("fleet.Op(%d)", int(o))
 }
 
 // Event is one entry of a fleet trace.
 type Event struct {
-	Op     Op
+	Op Op
+	// At is the event's virtual time; zero means one ReplayTick after the
+	// previous event. Times never go backwards.
+	At     time.Duration
 	Job    serve.Job    // OpSubmit
-	Device string       // OpFail / OpRestore / OpFaults
+	Device string       // OpFail / OpRestore / OpFaults / OpAdmitLimit
 	Faults fault.Config // OpFaults
+	Limit  int          // OpAdmitLimit
 }
 
 // Submit builds a submission event.
@@ -69,6 +78,33 @@ func Storm(id string, fc fault.Config) Event {
 // Step builds an explicit step event.
 func Step() Event { return Event{Op: OpStep} }
 
+// lossVictim is the device LossTrace fails: the second device of the first
+// host, so a DefaultDevices fleet keeps a survivor of each plan-affinity
+// class.
+const lossVictim = "h0/d1"
+
+// LossTrace builds a deterministic trace of n submissions round-robin over
+// the workload mix, each with the given deadline: a batch step after every
+// eighth submission when steps is set, and — when loss is set — a fault
+// storm plus the loss of device h0/d1 a third of the way in, restored and
+// cleared at two thirds.
+func LossTrace(mix []string, n int, deadline time.Duration, steps, loss bool) []Event {
+	var ev []Event
+	for i := 0; i < n; i++ {
+		ev = append(ev, Submit(serve.Job{Workload: mix[i%len(mix)], Deadline: deadline}))
+		if loss && i == n/3 {
+			ev = append(ev, Storm(lossVictim, fault.Uniform(11, 0.3)), Fail(lossVictim))
+		}
+		if loss && i == 2*n/3 {
+			ev = append(ev, Restore(lossVictim), Storm(lossVictim, fault.Config{}))
+		}
+		if steps && i%8 == 7 {
+			ev = append(ev, Step())
+		}
+	}
+	return ev
+}
+
 // Outcome is one submission's answer in a replay.
 type Outcome struct {
 	// Index is the event's position in the trace.
@@ -84,6 +120,15 @@ type Outcome struct {
 	LatencyNs int64 `json:"latencyNs,omitempty"`
 	// PlanCached reports plan-registry reuse for completed requests.
 	PlanCached bool `json:"planCached,omitempty"`
+	// Label is the server-assigned id (empty when rejected at admission).
+	Label string `json:"label,omitempty"`
+	// StreamID, Retries and Fallbacks are the completed request's stream
+	// and fault-recovery footprint.
+	StreamID  int   `json:"stream,omitempty"`
+	Retries   int64 `json:"retries,omitempty"`
+	Fallbacks int   `json:"fallbacks,omitempty"`
+	// Cause is the typed error behind Err, for errors.Is checks.
+	Cause error `json:"-"`
 }
 
 // ReplayResult is one replay's full evidence: every submission's outcome
@@ -109,7 +154,7 @@ func (r *ReplayResult) Rejections() map[int]string {
 }
 
 // ReplayTick is the virtual time that passes between consecutive trace
-// events during Replay.
+// events during Replay unless an event sets its own time.
 const ReplayTick = time.Millisecond
 
 // Replay drives a trace through a fresh stepped fleet on a virtual clock
@@ -121,10 +166,12 @@ const ReplayTick = time.Millisecond
 // alone, so two replays of the same trace are bit-identical: outputs,
 // rejection set, and the full fleet report.
 //
-// Batches run on OpStep events and during the final drain; a trace with no
-// OpStep simply queues everything and drains at the end. A shared Planner
-// carried across replays changes PlanCached/TuneProbes evidence — use a
-// fresh Config.Planner (or nil) when comparing replays.
+// Batches run on OpStep events and during the final drain, which steps
+// every ReplayTick from two ticks after the last event until every queue
+// is empty; a trace with no OpStep simply queues everything and drains at
+// the end. A shared Planner carried across replays changes
+// PlanCached/TuneProbes evidence — use a fresh Config.Planner (or nil)
+// when comparing replays.
 func Replay(cfg Config, events []Event) (*ReplayResult, error) {
 	epoch := time.Unix(0, 0).UTC()
 	var offset time.Duration
@@ -144,41 +191,49 @@ func Replay(cfg Config, events []Event) (*ReplayResult, error) {
 	res := &ReplayResult{}
 
 	for i, ev := range events {
-		offset = time.Duration(i+1) * ReplayTick
+		switch {
+		case ev.At == 0:
+			offset += ReplayTick
+		case ev.At < offset:
+			return nil, fmt.Errorf("fleet: replay event %d at %v is before the previous event's %v", i, ev.At, offset)
+		default:
+			offset = ev.At
+		}
 		switch ev.Op {
 		case OpSubmit:
 			pl, t, err := f.Enqueue(ev.Job)
 			if err != nil {
-				res.Outcomes = append(res.Outcomes, Outcome{Index: i, Placement: pl, Err: err.Error()})
+				res.Outcomes = append(res.Outcomes, Outcome{Index: i, Placement: pl, Err: err.Error(), Cause: err})
 				continue
 			}
 			res.Outcomes = append(res.Outcomes, Outcome{Index: i, Placement: pl})
 			outstanding = append(outstanding, open{idx: len(res.Outcomes) - 1, t: t})
 		case OpFail:
-			if err := f.FailDevice(ev.Device); err != nil {
-				return nil, fmt.Errorf("fleet: replay event %d: %w", i, err)
-			}
+			err = f.FailDevice(ev.Device)
 		case OpRestore:
-			if err := f.RestoreDevice(ev.Device); err != nil {
-				return nil, fmt.Errorf("fleet: replay event %d: %w", i, err)
-			}
+			err = f.RestoreDevice(ev.Device)
 		case OpFaults:
-			if err := f.SetDeviceFaults(ev.Device, ev.Faults); err != nil {
-				return nil, fmt.Errorf("fleet: replay event %d: %w", i, err)
+			err = f.SetDeviceFaults(ev.Device, ev.Faults)
+		case OpAdmitLimit:
+			var d *device
+			if d, err = f.device(ev.Device); err == nil {
+				d.srv.SetAdmitLimit(ev.Limit)
 			}
 		case OpStep:
 			f.StepAll()
 		default:
-			return nil, fmt.Errorf("fleet: replay event %d: unknown op %v", i, ev.Op)
+			err = fmt.Errorf("unknown op %v", ev.Op)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fleet: replay event %d: %w", i, err)
 		}
 	}
 
 	// Drain: keep stepping (advancing the virtual clock one tick per round
 	// so latencies stay meaningful) until every device's queue is empty.
-	round := len(events)
+	offset += ReplayTick
 	for {
-		round++
-		offset = time.Duration(round+1) * ReplayTick
+		offset += ReplayTick
 		if f.StepAll() == 0 {
 			break
 		}
@@ -187,13 +242,17 @@ func Replay(cfg Config, events []Event) (*ReplayResult, error) {
 	for _, o := range outstanding {
 		resp, err := o.t.Wait()
 		out := &res.Outcomes[o.idx]
+		out.Label = o.t.Label()
 		if err != nil {
-			out.Err = err.Error()
+			out.Err, out.Cause = err.Error(), err
 			continue
 		}
 		out.Outputs = resp.Outputs
 		out.LatencyNs = int64(resp.Latency)
 		out.PlanCached = resp.PlanCached
+		out.StreamID = resp.StreamID
+		out.Retries = resp.Retries
+		out.Fallbacks = resp.Fallbacks
 	}
 
 	res.Report = f.Report()

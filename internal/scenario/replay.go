@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
+	"comp/internal/fleet"
 	"comp/internal/runtime"
 	"comp/internal/serve"
 	"comp/internal/sim/fault"
@@ -64,16 +64,15 @@ type Outcome struct {
 	// PlanCached reports plan-cache reuse for completed requests.
 	PlanCached bool `json:"plan_cached,omitempty"`
 
-	answered bool
-	err      error
+	err error
 }
 
 // Completed reports whether the request was served successfully.
-func (o Outcome) Completed() bool { return o.answered && o.err == nil }
+func (o Outcome) Completed() bool { return o.Err == "" }
 
 // Result is one replay's full evidence: the trace it executed, every
 // request's outcome, and the server report. OutcomesJSON/ReportJSON are
-// the canonical bytes Verify compares across replays.
+// the canonical bytes a golden pins.
 type Result struct {
 	Trace        *Trace
 	Outcomes     []Outcome
@@ -90,6 +89,33 @@ func Replay(sc *Scenario, seed int64) (*Result, error) {
 	}
 	return ReplayTrace(tr)
 }
+
+// ReplayTrace replays a trace once on a one-device stepped fleet: a server
+// is a fleet of one. Everything the server observes is a function of the
+// trace, so two replays are bit-identical.
+func ReplayTrace(tr *Trace) (*Result, error) { return replay(tr, fleet.Replay) }
+
+// Verify replays (scenario, seed) twice through fleet.Verify, which demands
+// bit-identical evidence — the same per-request outputs, errors, latencies
+// and stream assignments, and the same report — and checks the serving
+// invariants on the result. It returns the first replay's result.
+func Verify(sc *Scenario, seed int64) (*Result, error) {
+	tr, err := sc.Generate(seed)
+	if err != nil {
+		return nil, err
+	}
+	res, err := replay(tr, fleet.Verify)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.CheckInvariants(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// device is the one fleet member a scenario replays on.
+const device = "server"
 
 // activeState resolves which perturbations are in force during a window:
 // the effective fault schedule and the admission cap. Events with Until 0
@@ -121,16 +147,17 @@ func activeState(sc *Scenario, w int, base fault.Config) (fault.Config, int) {
 	return fc, limit
 }
 
-// ReplayTrace drives a trace through a stepped serve.Server on a virtual
-// clock: submit window w's arrivals at their virtual times, advance the
-// clock to the window boundary, run exactly one batch, and answer the
-// batch's requests — then keep stepping past the last window until the
-// queue drains. Everything the server observes is a function of the trace,
-// so two replays are bit-identical.
-func ReplayTrace(tr *Trace) (*Result, error) {
+// compile turns a trace into a one-device fleet and its event trace. Each
+// window w installs its fault schedule and admission cap at its first
+// event, submits its arrivals at their virtual times, and steps once at
+// the window's end. Drain windows continue the same way up to
+// Windows+len(requests)+1 — every step answers at least one queued
+// request, and events with Until 0 stay active while draining — and a
+// step on an empty queue is a no-op.
+func compile(tr *Trace) (fleet.Config, []fleet.Event, error) {
 	sc := tr.Scenario
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return fleet.Config{}, nil, err
 	}
 	sp := sc.server()
 
@@ -144,101 +171,69 @@ func ReplayTrace(tr *Trace) (*Result, error) {
 	}
 	baseFaults, err := faultConfig(sc.Faults.Seed, sc.Faults.Rates)
 	if err != nil {
-		return nil, err
+		return fleet.Config{}, nil, err
 	}
 	rtCfg.Faults = baseFaults
-
-	// The virtual clock: a fixed epoch plus the replay's current offset.
-	epoch := time.Unix(0, 0).UTC()
-	var offset time.Duration
-	srv, err := serve.New(serve.Config{
-		Runtime:    &rtCfg,
-		Streams:    sp.Streams,
-		QueueDepth: sp.QueueDepth,
-		MaxBatch:   sp.MaxBatch,
-		Stepped:    true,
-		Clock:      func() time.Time { return epoch.Add(offset) },
-		Exec:       sp.Exec,
-	})
-	if err != nil {
-		return nil, err
+	cfg := fleet.Config{
+		Devices: []fleet.DeviceConfig{{
+			ID:         device,
+			Runtime:    &rtCfg,
+			Streams:    sp.Streams,
+			QueueDepth: sp.QueueDepth,
+			MaxBatch:   sp.MaxBatch,
+		}},
+		Exec: sp.Exec,
 	}
-	defer srv.Close()
-
-	res := &Result{Trace: tr, Outcomes: make([]Outcome, len(tr.Requests))}
-	for i, req := range tr.Requests {
-		res.Outcomes[i] = Outcome{ID: req.ID, Mix: req.Mix}
-	}
-
-	// Outstanding tickets in admission order; StepBatch answers batches in
-	// queue order, so the n oldest tickets are the answered ones.
-	type open struct {
-		id int
-		t  *serve.Ticket
-	}
-	var outstanding []open
 
 	byWindow := make([][]Request, sc.Windows)
 	for _, req := range tr.Requests {
 		byWindow[req.Window] = append(byWindow[req.Window], req)
 	}
-
-	win := tr.Window
-	settle := func(n int) {
-		for i := 0; i < n; i++ {
-			o := outstanding[i]
-			resp, err := o.t.Wait()
-			out := &res.Outcomes[o.id]
-			out.answered = true
-			out.Label = o.t.Label()
-			if err != nil {
-				out.err = err
-				out.Err = err.Error()
-				continue
-			}
-			out.Outputs = resp.Outputs
-			out.LatencyNs = int64(resp.Latency)
-			out.StreamID = resp.StreamID
-			out.Retries = resp.Retries
-			out.Fallbacks = resp.Fallbacks
-			out.PlanCached = resp.PlanCached
+	var events []fleet.Event
+	for w := 0; w < sc.Windows+len(tr.Requests)+1; w++ {
+		var arrivals []Request
+		if w < sc.Windows {
+			arrivals = byWindow[w]
 		}
-		outstanding = outstanding[n:]
-	}
-
-	maxWindows := sc.Windows + len(tr.Requests) + 1
-	for w := 0; w < maxWindows; w++ {
-		if w >= sc.Windows && len(outstanding) == 0 {
-			break
+		end := time.Duration(w+1) * tr.Window
+		start := end
+		if len(arrivals) > 0 {
+			start = arrivals[0].Arrival
 		}
 		fc, limit := activeState(sc, w, baseFaults)
-		if err := srv.SetFaults(fc); err != nil {
-			return nil, err
+		events = append(events,
+			fleet.Event{Op: fleet.OpFaults, At: start, Device: device, Faults: fc},
+			fleet.Event{Op: fleet.OpAdmitLimit, At: start, Device: device, Limit: limit})
+		for _, req := range arrivals {
+			events = append(events, fleet.Event{Op: fleet.OpSubmit, At: req.Arrival, Job: jobFor(sc, req)})
 		}
-		srv.SetAdmitLimit(limit)
+		events = append(events, fleet.Event{Op: fleet.OpStep, At: end})
+	}
+	return cfg, events, nil
+}
 
-		if w < sc.Windows {
-			for _, req := range byWindow[w] {
-				offset = req.Arrival
-				t, err := srv.Enqueue(jobFor(sc, req))
-				out := &res.Outcomes[req.ID]
-				if err != nil {
-					out.answered = true
-					out.err = err
-					out.Err = err.Error()
-					continue
-				}
-				outstanding = append(outstanding, open{id: req.ID, t: t})
-			}
+// replay compiles the trace, runs it through run (fleet.Replay or
+// fleet.Verify), and reads the one device's evidence back per request.
+func replay(tr *Trace, run func(fleet.Config, []fleet.Event) (*fleet.ReplayResult, error)) (*Result, error) {
+	cfg, events, err := compile(tr)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := run(cfg, events)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", tr.Scenario.Name, err)
+	}
+	// Submissions follow request order, so outcome i answers request i.
+	res := &Result{Trace: tr, Outcomes: make([]Outcome, len(fr.Outcomes)), Report: fr.Report.Devices[0].ServerReport}
+	for i, o := range fr.Outcomes {
+		req := tr.Requests[i]
+		res.Outcomes[i] = Outcome{
+			ID: req.ID, Mix: req.Mix, Label: o.Label, Err: o.Err,
+			Outputs: o.Outputs, LatencyNs: o.LatencyNs, StreamID: o.StreamID,
+			Retries: o.Retries, Fallbacks: o.Fallbacks, PlanCached: o.PlanCached,
+			err: o.Cause,
 		}
-		offset = time.Duration(w+1) * win
-		settle(srv.StepBatch())
 	}
-	if len(outstanding) > 0 {
-		return nil, fmt.Errorf("scenario %s: replay did not drain: %d requests still open", sc.Name, len(outstanding))
-	}
-
-	res.Report = srv.Report()
 	if res.ReportJSON, err = json.Marshal(res.Report); err != nil {
 		return nil, err
 	}
@@ -293,10 +288,7 @@ func (r *Result) CheckInvariants() error {
 	for i, out := range r.Outcomes {
 		req := r.Trace.Requests[i]
 		m := sc.Mix[out.Mix]
-		if !out.answered {
-			return fmt.Errorf("scenario %s: request %d was never answered", sc.Name, out.ID)
-		}
-		if out.err == nil {
+		if out.Completed() {
 			completed++
 			if (m.Workload != "" || m.Synth > 0) && len(out.Outputs) == 0 {
 				return fmt.Errorf("scenario %s: request %d completed without outputs", sc.Name, out.ID)
@@ -392,32 +384,4 @@ func mixKind(m MixEntry) string {
 	default:
 		return "invalid"
 	}
-}
-
-// Verify replays (scenario, seed) twice and demands bit-identical evidence:
-// the same per-request outputs, errors, latencies and stream assignments,
-// and the same marshalled ServerReport. Both replays must also pass
-// CheckInvariants. It returns the first replay's result.
-func Verify(sc *Scenario, seed int64) (*Result, error) {
-	first, err := Replay(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := first.CheckInvariants(); err != nil {
-		return nil, err
-	}
-	second, err := Replay(sc, seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: second replay: %w", sc.Name, err)
-	}
-	if err := second.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("scenario %s: second replay: %w", sc.Name, err)
-	}
-	if !bytes.Equal(first.OutcomesJSON, second.OutcomesJSON) {
-		return nil, fmt.Errorf("scenario %s: replay divergence: per-request outcomes differ between replays of seed %d", sc.Name, seed)
-	}
-	if !bytes.Equal(first.ReportJSON, second.ReportJSON) {
-		return nil, fmt.Errorf("scenario %s: replay divergence: server reports differ between replays of seed %d", sc.Name, seed)
-	}
-	return first, nil
 }

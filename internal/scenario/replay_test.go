@@ -190,73 +190,3 @@ func TestReplayInvalidEntriesTyped(t *testing.T) {
 		}
 	}
 }
-
-func TestVerifySchedulerBuiltins(t *testing.T) {
-	names := []string{"steady", "fault-storm", "hot-unplug"}
-	if testing.Short() {
-		names = names[:1]
-	}
-	for _, name := range names {
-		sc, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := VerifyScheduler(sc, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(rep.Outputs) == 0 {
-			t.Fatalf("%s: scheduler replay executed nothing", name)
-		}
-	}
-}
-
-// TestSchedulerMatchesServeOutputs cross-checks the two replay paths: for
-// a pure-synth scenario the serve layer and the raw scheduler must compute
-// identical outputs for every request both executed — batching, queueing,
-// and faults shift timing, never values.
-func TestSchedulerMatchesServeOutputs(t *testing.T) {
-	sc := New("cross-check", 5).
-		Arrive(Steady, 3).
-		Synth(3, 1, false).Synth(8, 1, false).
-		FaultStorm(1, 3, map[string]float64{"dma": 0.5, "hang": 0.3}).
-		Server(2, 64, 8).
-		MustBuild()
-	served, err := Replay(sc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := served.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := ReplayTraceScheduler(served.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compared := 0
-	for _, out := range served.Outcomes {
-		if !out.Completed() {
-			continue
-		}
-		rawOut, ok := raw.Outputs[out.ID]
-		if !ok {
-			t.Fatalf("request %d served but missing from scheduler replay", out.ID)
-		}
-		for name, data := range out.Outputs {
-			other := rawOut[name]
-			if len(other) != len(data) {
-				t.Fatalf("request %d output %s: lengths differ", out.ID, name)
-			}
-			for i := range data {
-				if data[i] != other[i] {
-					t.Fatalf("request %d output %s[%d]: serve %v, scheduler %v",
-						out.ID, name, i, data[i], other[i])
-				}
-			}
-		}
-		compared++
-	}
-	if compared == 0 {
-		t.Fatal("no completed requests to cross-check")
-	}
-}

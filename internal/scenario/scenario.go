@@ -2,9 +2,9 @@
 // format plus a Go builder describing arrival processes, workload mixes,
 // deadline distributions, machine shape, and timed event schedules (fault
 // storms, device hot-unplug, queue-capacity squeezes). A deterministic
-// generator expands a scenario and a seed into a concrete request trace; a
-// replayer drives the trace through serve.Server (or the raw
-// runtime.Scheduler) and checks the serving invariants after every run.
+// generator expands a scenario and a seed into a concrete request trace,
+// which replays as a one-device fleet (fleet.Replay) — a server is a fleet
+// of one — and the serving invariants are checked after every run.
 //
 // The point is ROADMAP item 5 made systematic: the serving layer and the
 // scheduler were only ever exercised by two synthetic fleets, yet — as in
@@ -18,8 +18,9 @@
 //
 // Determinism rests on three legs: the generator derives every sample
 // (arrival counts, mix picks, deadlines) from a pure (seed, stream, n)
-// hash; the replayer runs the server in stepped mode on a virtual clock,
-// so batch composition and every timestamp are functions of the trace;
+// hash; the fleet replay runs the server in stepped mode on a virtual
+// clock, so batch composition and every timestamp are functions of the
+// trace;
 // and the simulated platform beneath is already deterministic.
 package scenario
 

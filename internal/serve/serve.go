@@ -220,8 +220,8 @@ type Server struct {
 	nextID int64
 
 	// admitLimit, when ≥ 0, caps the admitted queue depth below the
-	// channel's capacity — the runtime knob behind queue-capacity-squeeze
-	// scenarios. -1 means the full QueueDepth.
+	// channel's capacity — the runtime knob behind queue squeezes. -1
+	// means the full QueueDepth.
 	admitLimit int64
 
 	// Counters (atomics; the slices under statsMu).
@@ -310,9 +310,10 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) now() time.Time { return s.clock() }
 
 // SetFaults swaps the fault schedule used by every subsequent batch; it
-// validates the schedule and never disturbs batches already running.
-// Scenario replay uses it for fault storms and device unplug/replug
-// windows; it is safe to call concurrently with submissions.
+// validates the schedule and never disturbs batches already running. The
+// fleet uses it for per-device fault storms (a scenario's storms and
+// unplug windows included); it is safe to call concurrently with
+// submissions.
 func (s *Server) SetFaults(fc fault.Config) error {
 	if err := fc.Validate(); err != nil {
 		return err
@@ -323,17 +324,11 @@ func (s *Server) SetFaults(fc fault.Config) error {
 	return nil
 }
 
-// Faults returns the currently configured fault schedule.
-func (s *Server) Faults() fault.Config {
-	s.rtMu.Lock()
-	defer s.rtMu.Unlock()
-	return s.rtCfg.Faults
-}
-
 // SetAdmitLimit caps the admitted queue depth below QueueDepth — the
-// queue-capacity-squeeze knob: submissions beyond the limit shed with
-// ErrOverloaded exactly as if the queue were that small. A negative limit
-// restores the full capacity. Requests already queued are unaffected.
+// queue-capacity-squeeze knob behind the fleet's OpAdmitLimit events:
+// submissions beyond the limit shed with ErrOverloaded exactly as if the
+// queue were that small. A negative limit restores the full capacity.
+// Requests already queued are unaffected.
 func (s *Server) SetAdmitLimit(n int) {
 	if n < 0 {
 		n = -1
@@ -449,9 +444,9 @@ func (s *Server) Close() {
 
 // StepBatch collects and runs exactly one batch on the caller's goroutine
 // and returns how many requests it answered (0 when the queue is empty).
-// Only valid on a server built with Config.Stepped; the caller is the
-// dispatcher, so StepBatch must not be called concurrently with itself or
-// with Close.
+// Only valid on a server built with Config.Stepped; the caller — the
+// fleet's StepAll — is the dispatcher, so StepBatch must not be called
+// concurrently with itself or with Close.
 func (s *Server) StepBatch() int {
 	if !s.cfg.Stepped {
 		panic("serve: StepBatch on a server without Config.Stepped")
