@@ -293,6 +293,7 @@ func (c *compiler) compileDecl(d *minic.DeclStmt) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.noteAlias(vd.Init)
 		return func(env *Env) ctl {
 			env.r[slot] = rf(env)
 			return ctlNormal
@@ -318,6 +319,20 @@ func (c *compiler) compileDecl(d *minic.DeclStmt) (stmtFn, error) {
 		env.f[slot] = v
 		return ctlNormal
 	}, nil
+}
+
+// noteAlias marks the global a pointer local is assigned from, if any: in
+// a kernel the local then references the global's device buffer, and may
+// outlive that buffer's free (see global.aliased).
+func (c *compiler) noteAlias(rhs minic.Expr) {
+	switch x := rhs.(type) {
+	case *minic.ParenExpr:
+		c.noteAlias(x.X)
+	case *minic.Ident:
+		if bnd, ok := c.lookup(x.Name); ok && bnd.kind == bindGlobal {
+			bnd.g.aliased = true
+		}
+	}
 }
 
 func isIntType(t minic.Type) bool {
@@ -354,6 +369,7 @@ func (c *compiler) compileAssign(x *minic.AssignStmt) (stmtFn, error) {
 			switch bnd.kind {
 			case bindLocalRef:
 				slot := bnd.slot
+				c.noteAlias(x.RHS)
 				return func(env *Env) ctl { env.r[slot] = rf(env); return ctlNormal }, nil
 			case bindGlobal:
 				g := bnd.g

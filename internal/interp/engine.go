@@ -123,11 +123,38 @@ func (p *Program) GlobalNames() []string {
 // DevBuf returns the device copy of a buffer, or nil.
 func (p *Program) DevBuf(name string) *Array { return p.devArr[name] }
 
-// SetDevBuf installs a device buffer (offload allocation).
-func (p *Program) SetDevBuf(name string, a *Array) { p.devArr[name] = a }
+// AllocDevBuf installs a zeroed device buffer of n elements for the
+// global array or pointer h (offload allocation). A buffer
+// the same global freed earlier in this run is cleared and reused when its
+// length matches, so a region that allocates and frees the same buffers on
+// every offload (LEO's default alloc_if(1) free_if(1)) allocates them once
+// per run. The simulator still charges every allocation and free; only
+// host memory is recycled.
+func (p *Program) AllocDevBuf(h GlobalHandle, n int64) {
+	g := h.g
+	a := g.freed
+	g.freed = nil
+	if a != nil && int64(a.Len()) == n {
+		clear(a.Data)
+	} else {
+		a = NewArrayFor(g.name, g.elem, n)
+	}
+	p.devArr[g.name] = a
+}
 
-// DropDevBuf frees a device buffer (free_if semantics).
-func (p *Program) DropDevBuf(name string) { delete(p.devArr, name) }
+// FreeDevBuf frees a device buffer (free_if semantics), keeping it on its
+// global for AllocDevBuf to recycle unless a pointer local may still
+// reference it.
+func (p *Program) FreeDevBuf(name string) {
+	a := p.devArr[name]
+	if a == nil {
+		return
+	}
+	delete(p.devArr, name)
+	if g := p.lookup(name); g != nil && !g.aliased {
+		g.freed = a
+	}
+}
 
 // DevScalar returns the device copy of a scalar, or nil if it was never
 // transferred or written on the device.

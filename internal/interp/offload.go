@@ -427,16 +427,6 @@ func hostArrayFor(env *Env, name string, pos minic.Pos) *Array {
 	return g.arr
 }
 
-// devBufferShape returns element layout info for creating a device buffer
-// named after a declared variable.
-func devBufferShape(env *Env, name string, elems int64, pos minic.Pos) *Array {
-	g := env.p.lookup(name)
-	if g == nil || !g.arrayly {
-		throw(rtErrf(pos, "device buffer %s must be a declared array or pointer", name))
-	}
-	return NewArrayFor(name, g.elem, elems)
-}
-
 // applyIn performs device allocation and host->device value copies.
 func applyIn(env *Env, specs []*cspec, resolved []TransferSpec, pos minic.Pos) {
 	for i, sp := range specs {
@@ -457,7 +447,11 @@ func applyIn(env *Env, specs []*cspec, resolved []TransferSpec, pos minic.Pos) {
 			continue
 		}
 		if ts.Alloc {
-			env.p.devArr[sp.devName] = devBufferShape(env, sp.devName, ts.Elems, pos)
+			g := env.p.lookup(sp.devName)
+			if g == nil || !g.arrayly {
+				throw(rtErrf(pos, "device buffer %s must be a declared array or pointer", sp.devName))
+			}
+			env.p.AllocDevBuf(GlobalHandle{g: g}, ts.Elems)
 		}
 		if sp.dir != DirIn {
 			continue
@@ -523,7 +517,7 @@ func applyOut(env *Env, specs []*cspec, resolved []TransferSpec, pos minic.Pos) 
 func applyFrees(env *Env, resolved []TransferSpec) {
 	for _, ts := range resolved {
 		if ts.Free && !ts.Scalar {
-			delete(env.p.devArr, ts.Dest)
+			env.p.FreeDevBuf(ts.Dest)
 		}
 	}
 }

@@ -66,23 +66,34 @@ type global struct {
 	// injected.
 	length int64
 	sized  bool
+	// aliased marks a global that some pointer local is assigned from: a
+	// kernel can then keep a reference to its device buffer past the
+	// buffer's free, so a freed buffer of this global is never recycled.
+	aliased bool
 }
 
-// gvar is one global's storage in one Program.
+// gvar is one global's storage in one Program. It stays four words: every
+// request instance allocates one per global.
 type gvar struct {
 	*global
 	cell Cell
-	arr  *Array
-	// pending marks a fixed-size array whose zeroed storage is due but not
-	// yet allocated: Reset defers it so an input that Setup injects
-	// (SetArray) replaces nothing, and the first read allocates it.
-	pending bool
+	// arr is the array storage; pendingArr marks a fixed-size array whose
+	// zeroed storage is due but not yet allocated: Reset defers it so an
+	// input that Setup injects (SetArray) replaces nothing, and the first
+	// read allocates it.
+	arr *Array
+	// freed is the device buffer this global last freed in the current
+	// run, kept for AllocDevBuf to recycle; Reset drops it.
+	freed *Array
 }
+
+// pendingArr is the storage of a fixed-size array not yet allocated.
+var pendingArr = new(Array)
 
 // storage returns the global's array storage, allocating a pending
 // fixed-size array on first use.
 func (g *gvar) storage() *Array {
-	if g.pending {
+	if g.arr == pendingArr {
 		g.allocate()
 	}
 	return g.arr
@@ -94,14 +105,10 @@ func (g *gvar) storage() *Array {
 //go:noinline
 func (g *gvar) allocate() {
 	g.arr = NewArrayFor(g.name, g.elem, g.length)
-	g.pending = false
 }
 
 // setStorage rebinds the global's array storage.
-func (g *gvar) setStorage(a *Array) {
-	g.arr = a
-	g.pending = false
-}
+func (g *gvar) setStorage(a *Array) { g.arr = a }
 
 // Compile parses, checks, and compiles a MiniC source text. The process
 // default engine factory (SetDefaultEngine) picks its execution engine.
@@ -234,13 +241,17 @@ func (l *Layout) resolve(f *minic.File, funcs map[string]*cfunc) error {
 }
 
 // initGlobals sets scalars to their initializers and fixed-size arrays
-// to fresh zeroed storage, allocated on first use.
+// to fresh zeroed storage, allocated on first use, and drops the freed
+// device buffers.
 func (p *Program) initGlobals() {
 	for i := range p.globals {
 		g := &p.globals[i]
 		g.cell.V = g.init
 		g.arr = nil
-		g.pending = g.sized
+		if g.sized {
+			g.arr = pendingArr
+		}
+		g.freed = nil
 	}
 }
 
@@ -259,9 +270,11 @@ func (p *Program) lookup(name string) *gvar {
 	return nil
 }
 
-// Reset zeroes global state: arrays are re-created, scalars re-initialized,
-// device memory and captured output cleared. It lets one compiled program
-// run multiple times from a clean slate.
+// Reset zeroes global state: fixed-size arrays get fresh zeroed storage on
+// first use, scalars are re-initialized, device memory (with the freed
+// device buffers kept for recycling) and captured output are cleared. It
+// lets one compiled program run multiple times from a clean slate, and
+// keeps nothing of one run's device memory alive into the next.
 func (p *Program) Reset() error {
 	if p.devArr == nil {
 		p.devArr = map[string]*Array{}

@@ -11,7 +11,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"comp/internal/interp"
 	"comp/internal/minic"
@@ -1161,14 +1163,25 @@ func (r *Runtime) detectDeadlocks() []string {
 // the same buffer. A correctly double-buffered pipeline never triggers
 // this: the prefetch always targets the buffer the kernel is NOT using.
 func (r *Runtime) detectRaces() []string {
+	// Group the kernel uses by buffer, keeping their order within each
+	// buffer, so each write meets only the kernels that touched its buffer
+	// and the warnings come out in (write, kernel) order. Nothing else
+	// reads kernelUses, so they are sorted in place, allocating nothing.
+	byBuf := func(k interval, buf string) int { return strings.Compare(k.buf, buf) }
+	uses := r.kernelUses
+	slices.SortStableFunc(uses, func(a, b interval) int { return byBuf(a, b.buf) })
 	var warns []string
 	for _, w := range r.bufWrites {
 		if !w.done.Fired() {
 			continue
 		}
 		ws, we := w.bounds()
-		for _, k := range r.kernelUses {
-			if k.buf != w.buf || !k.done.Fired() {
+		first, _ := slices.BinarySearchFunc(uses, w.buf, byBuf)
+		for _, k := range uses[first:] {
+			if k.buf != w.buf {
+				break
+			}
+			if !k.done.Fired() {
 				continue
 			}
 			// Disjoint byte ranges (Figure 5(b): prefetch into a different

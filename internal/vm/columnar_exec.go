@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"comp/internal/interp"
 )
@@ -11,7 +10,7 @@ import (
 // colScratch is the columnar tier's working memory: colBlock-sized
 // register columns, the per-batch register table (cLoad rebinds entries
 // to array windows) and the resolved site arrays. A run takes one from
-// colPool at its first vector loop and returns it when the run exits,
+// colFree at its first vector loop and returns it when the run exits,
 // faults included, so requests reuse columns instead of allocating them.
 type colScratch struct {
 	cols [][]float64
@@ -19,9 +18,25 @@ type colScratch struct {
 	arrs []*interp.Array
 }
 
-var colPool = sync.Pool{New: func() any { return new(colScratch) }}
+// colFree is the process-wide free list of column scratch. Unlike a
+// sync.Pool it survives garbage collection, which on a serving process
+// runs between most requests. Its capacity bounds what it keeps, and RSS
+// with it: 4 scratches cover one running program per core on a small
+// host. A run that finds the list empty allocates, and a release that
+// finds it full drops its scratch.
+var colFree = make(chan *colScratch, 4)
 
-// releaseCols returns the run's column scratch to colPool, dropping its
+// takeCols returns a free column scratch, or a new one.
+func takeCols() *colScratch {
+	select {
+	case c := <-colFree:
+		return c
+	default:
+		return new(colScratch)
+	}
+}
+
+// releaseCols returns the run's column scratch to colFree, dropping its
 // references to program arrays first, and adds the run's batches to the
 // engine's count.
 func (m *machine) releaseCols() {
@@ -30,7 +45,10 @@ func (m *machine) releaseCols() {
 	}
 	clear(m.col.regs)
 	clear(m.col.arrs)
-	colPool.Put(m.col)
+	select {
+	case colFree <- m.col:
+	default:
+	}
 	m.eng.vecRuns.Add(m.vecRuns)
 }
 
@@ -61,7 +79,7 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	}
 	ilo := int64(lo)
 	if m.col == nil {
-		m.col = colPool.Get().(*colScratch)
+		m.col = takeCols()
 	}
 	c := m.col
 	if len(c.arrs) < len(d.Sites) {

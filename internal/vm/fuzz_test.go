@@ -32,6 +32,9 @@ func FuzzVMDiff(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(genProgram(seed))
 	}
+	for _, c := range recycleCases {
+		f.Add(c.src)
+	}
 	f.Add("int a; int main(void) { a = 1 / (a - a); return 0; }")
 	f.Add("int main(void) { printf(\"%d %d\\n\", 1); return 0; }")
 

@@ -97,7 +97,7 @@ type machine struct {
 
 	// Columnar tier state: eng is the running Engine (its scalar flag
 	// turns OpVecLoop into a no-op); col is the column scratch, taken from
-	// colPool at the run's first vector loop and returned when Run exits;
+	// colFree at the run's first vector loop and returned when Run exits;
 	// vecRuns counts the batches the tier ran.
 	eng     *Engine
 	col     *colScratch

@@ -156,14 +156,6 @@ func (m *machine) hostArrayFor(h interp.GlobalHandle, name string, pos minic.Pos
 	return a
 }
 
-// devBufferShape creates a device buffer shaped after a declared variable.
-func (m *machine) devBufferShape(h interp.GlobalHandle, name string, elems int64, pos minic.Pos) *interp.Array {
-	if !h.Valid() || !h.IsArray() {
-		m.throwf(pos, "device buffer %s must be a declared array or pointer", name)
-	}
-	return interp.NewArrayFor(name, h.Elem(), elems)
-}
-
 // applyIn performs device allocation and host->device value copies.
 func (m *machine) applyIn(ch *Chunk, specs []*VSpec, resolved []interp.TransferSpec, pos minic.Pos, f []float64, r []*interp.Array) {
 	for i, sp := range specs {
@@ -179,7 +171,11 @@ func (m *machine) applyIn(ch *Chunk, specs []*VSpec, resolved []interp.TransferS
 			continue
 		}
 		if ts.Alloc {
-			m.p.SetDevBuf(sp.DevName, m.devBufferShape(m.global(sp.DevG), sp.DevName, ts.Elems, pos))
+			h := m.global(sp.DevG)
+			if !h.Valid() || !h.IsArray() {
+				m.throwf(pos, "device buffer %s must be a declared array or pointer", sp.DevName)
+			}
+			m.p.AllocDevBuf(h, ts.Elems)
 		}
 		if sp.Dir != interp.DirIn {
 			continue
@@ -245,7 +241,7 @@ func (m *machine) applyOut(ch *Chunk, specs []*VSpec, resolved []interp.Transfer
 func (m *machine) applyFrees(resolved []interp.TransferSpec) {
 	for _, ts := range resolved {
 		if ts.Free && !ts.Scalar {
-			m.p.DropDevBuf(ts.Dest)
+			m.p.FreeDevBuf(ts.Dest)
 		}
 	}
 }
