@@ -4,21 +4,64 @@ import (
 	"strconv"
 )
 
-// Parser is a recursive-descent parser for MiniC.
+// Parser is a recursive-descent parser for MiniC. It pulls tokens from
+// its source on demand through a three-token window; peekN(2) is its
+// deepest lookahead.
 type Parser struct {
-	toks    []Token
-	i       int
+	src     tokenSource
+	win     [4]Token // a ring: win[h&3] is the current token
+	h       int      // ring position of the current token
+	n       int      // tokens buffered in win, at most 3
+	done    bool     // the source has yielded eof or failed
+	eof     Token    // the token the window reads once done
+	lexErr  error    // the source's first error
 	structs map[string]*StructType
 }
 
-// Parse lexes and parses a translation unit.
-func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+// tokenSource yields tokens in order, ending with TokEOF: a *Lexer, or a
+// tokenSlice of already lexed ones.
+type tokenSource interface {
+	Next() (Token, error)
+}
+
+// tokenSlice yields lexed tokens, then eof for good.
+type tokenSlice struct {
+	toks []Token
+	eof  Token
+}
+
+func (s *tokenSlice) Next() (Token, error) {
+	if len(s.toks) == 0 {
+		return s.eof, nil
 	}
-	p := &Parser{toks: toks, structs: map[string]*StructType{}}
-	return p.parseFile()
+	t := s.toks[0]
+	s.toks = s.toks[1:]
+	return t, nil
+}
+
+// Parse lexes and parses a translation unit. A lexical error anywhere in
+// src wins over a parse error: on a parse failure the rest of the input
+// is lexed, and its first lexical error, if any, is what Parse returns.
+func Parse(src string) (*File, error) {
+	return parseFrom(NewLexer(src))
+}
+
+func parseFrom(src tokenSource) (*File, error) {
+	p := &Parser{src: src, structs: map[string]*StructType{}}
+	f, err := p.parseFile()
+	if err != nil {
+		for !p.done {
+			t, lerr := src.Next()
+			if lerr != nil {
+				return nil, lerr
+			}
+			p.done = t.Kind == TokEOF
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return f, err
 }
 
 // MustParse is Parse that panics on error; for tests and embedded sources.
@@ -30,14 +73,45 @@ func MustParse(src string) *File {
 	return f
 }
 
-func (p *Parser) peek() Token { return p.toks[p.i] }
-func (p *Parser) peekN(n int) Token {
-	if p.i+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+// fill buffers tokens until the window holds k+1. After the source's
+// last token, or its first error, the window reads eof.
+func (p *Parser) fill(k int) {
+	for p.n <= k {
+		if !p.done {
+			t, err := p.src.Next()
+			if err != nil {
+				p.lexErr, t = err, Token{Kind: TokEOF}
+			}
+			if t.Kind != TokEOF {
+				p.win[(p.h+p.n)&3] = t
+				p.n++
+				continue
+			}
+			p.done, p.eof = true, t
+		}
+		p.win[(p.h+p.n)&3] = p.eof
+		p.n++
 	}
-	return p.toks[p.i+n]
 }
-func (p *Parser) next() Token { t := p.toks[p.i]; p.i++; return t }
+
+func (p *Parser) peek() Token {
+	if p.n == 0 {
+		p.fill(0)
+	}
+	return p.win[p.h&3]
+}
+
+func (p *Parser) peekN(n int) Token {
+	p.fill(n)
+	return p.win[(p.h+n)&3]
+}
+
+func (p *Parser) next() Token {
+	t := p.peek()
+	p.h++
+	p.n--
+	return t
+}
 
 func (p *Parser) at(text string) bool {
 	t := p.peek()

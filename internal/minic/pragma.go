@@ -413,10 +413,7 @@ func splitTopLevel(toks []Token, sep string, pos Pos) ([][]Token, error) {
 
 // parseExprTokens parses a standalone expression from a token slice.
 func parseExprTokens(toks []Token, pos Pos) (Expr, error) {
-	all := make([]Token, len(toks), len(toks)+1)
-	copy(all, toks)
-	all = append(all, Token{Kind: TokEOF, Pos: pos})
-	pp := &Parser{toks: all}
+	pp := &Parser{src: &tokenSlice{toks: toks, eof: Token{Kind: TokEOF, Pos: pos}}}
 	e, err := pp.parseExpr()
 	if err != nil {
 		return nil, err

@@ -92,15 +92,21 @@ func TestRaceDetectorCleanOnSynchronousOffload(t *testing.T) {
 	}
 }
 
+// racy64Blocks is racySingleBuffer over 64 blocks of 4096 elements, where
+// every prefetch overlaps a kernel (at 64 blocks of 1024 the transfers are
+// too short to race past the first).
+func racy64Blocks() string {
+	s := strings.ReplaceAll(racySingleBuffer, "65536", "262144")
+	s = strings.ReplaceAll(s, "blk < 8", "blk < 64")
+	s = strings.ReplaceAll(s, "blk + 1 < 8", "blk + 1 < 64")
+	return strings.ReplaceAll(s, "n / 8", "n / 64")
+}
+
+// TestRaceWarningsCapped: racy64Blocks races more than maxRaceWarnings
+// times; the report keeps the first maxRaceWarnings races and says how
+// many it dropped in a final "... and N more" entry.
 func TestRaceWarningsCapped(t *testing.T) {
-	p, err := interp.Compile(strings.ReplaceAll(racySingleBuffer, "n / 8", "n / 64"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2 := strings.ReplaceAll(racySingleBuffer, "blk < 8", "blk < 64")
-	src2 = strings.ReplaceAll(src2, "blk + 1 < 8", "blk + 1 < 64")
-	src2 = strings.ReplaceAll(src2, "n / 8", "n / 64")
-	p, err = interp.Compile(src2)
+	p, err := interp.Compile(racy64Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +115,17 @@ func TestRaceWarningsCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	warns := res.Stats.RaceWarnings
-	if len(warns) == 0 || len(warns) > maxRaceWarnings+1 {
-		t.Fatalf("warnings = %d, want in (0, %d]", len(warns), maxRaceWarnings+1)
+	if len(warns) != maxRaceWarnings+1 {
+		t.Fatalf("warnings = %d, want %d: the races must exceed the cap", len(warns), maxRaceWarnings+1)
 	}
-	// Truncation must say how much it dropped rather than dropping silently.
-	if len(warns) == maxRaceWarnings+1 && !strings.Contains(warns[len(warns)-1], "more") {
-		t.Fatalf("truncated list lacks the '... and N more' sentinel: %q", warns[len(warns)-1])
+	var more int
+	if _, err := fmt.Sscanf(warns[maxRaceWarnings], "... and %d more", &more); err != nil || more < 1 {
+		t.Fatalf("truncated list lacks the '... and N more' sentinel: %q", warns[maxRaceWarnings])
+	}
+	for _, w := range warns[:maxRaceWarnings] {
+		if !strings.Contains(w, `device buffer "buf"`) {
+			t.Fatalf("warning does not name the racy buffer: %s", w)
+		}
 	}
 }
 
@@ -150,14 +161,6 @@ func racesQuadratic(writes, uses []interval) []string {
 // blocks, a pipeline racing on two buffers, one prefetch racing with many
 // kernels, and a correct pipeline.
 func TestRaceWarningsMatchQuadraticReference(t *testing.T) {
-	// 64 blocks of 4096 elements: every prefetch overlaps a kernel (at 64
-	// blocks of 1024 the transfers are too short to race past the first).
-	blocks64 := func() string {
-		s := strings.ReplaceAll(racySingleBuffer, "65536", "262144")
-		s = strings.ReplaceAll(s, "blk < 8", "blk < 64")
-		s = strings.ReplaceAll(s, "blk + 1 < 8", "blk + 1 < 64")
-		return strings.ReplaceAll(s, "n / 8", "n / 64")
-	}
 	// Two racy buffers: each prefetch also writes the block the kernel is
 	// about to produce into outb, which the kernel writes.
 	twoBuffers := strings.ReplaceAll(racySingleBuffer,
@@ -196,7 +199,7 @@ int main(void) {
 		bufs        []string // buffers the reference must name
 	}{
 		{"8-blocks", racySingleBuffer, 1, maxRaceWarnings, []string{"buf"}},
-		{"64-blocks", blocks64(), maxRaceWarnings + 1, 1 << 20, []string{"buf"}},
+		{"64-blocks", racy64Blocks(), maxRaceWarnings + 1, 1 << 20, []string{"buf"}},
 		{"two-buffers", twoBuffers, 1, 1 << 20, []string{"buf", "outb"}},
 		{"one-write-many-kernels", manyKernels, maxRaceWarnings + 1, 1 << 20, []string{"buf"}},
 		{"correct", streamedSource(1<<17, 8, false), 0, 0, nil},

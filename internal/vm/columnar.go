@@ -11,9 +11,11 @@ import (
 // Qualification is strict by design — the descriptor must charge the same
 // Work, touch the same device ranges, and compute bit-identical values as
 // the scalar loop it fast-forwards, so anything that could diverge
-// (irregular subscripts, calls, writes to outer scalars, faultable
-// divisions) falls back to the scalar bytecode, which stays compiled and
-// unchanged right after the OpVecLoop.
+// (indirect or strided-write subscripts, calls, writes to outer scalars,
+// faultable divisions) falls back to the scalar bytecode, which stays
+// compiled and unchanged right after the OpVecLoop. Reads may be strided,
+// a[c*i + o]: those gather into a register column, the regularization
+// loops' shape (§IV packs A[c*i] into a dense array with such a loop).
 
 // colBlock is the batch width: one dispatch of the column program covers
 // up to this many iterations. 256 doubles = 2KB per register column, small
@@ -36,18 +38,31 @@ type VecImm struct {
 	Kind, A, Dst int32
 }
 
-// VecSite is one array whose elements the kernel reads or writes at the
-// induction variable. Local sites name a ref slot; global sites a module
-// global (resolved device-aware, like OpRefG, at batch entry).
+// VecSite is one array access pattern of the kernel: elements
+// Stride*i + Off of the array, for induction variable i. Local sites name
+// a ref slot; global sites a module global (resolved device-aware, like
+// OpRefG, at batch entry). A unit site (Stride 1, Off 0) is read and
+// written through zero-copy windows; any other site is a read-only gather.
 type VecSite struct {
-	Local bool
-	A     int32
+	Local  bool
+	A      int32
+	Stride int32 // positive
+	Off    int32 // within ±maxSiteOff
 }
+
+// unit reports whether the site walks the array at the induction variable.
+func (s VecSite) unit() bool { return s.Stride == 1 && s.Off == 0 }
+
+// maxSiteOff bounds a site's stride and offset. A batch starts below
+// 2^31, so every index a batch computes stays below 2^53 and the scalar
+// loop's float64 arithmetic computes it exactly too.
+const maxSiteOff = 1 << 20
 
 // Column-program opcodes. Each processes one block of lanes.
 const (
-	cLoad  int32 = iota // bind Dst to Sites[Site]'s backing slice window
-	cStore              // store X's column into Sites[Site]'s window
+	cLoad   int32 = iota // bind Dst to unit Sites[Site]'s backing slice window
+	cStore               // store X's column into unit Sites[Site]'s window
+	cGather              // copy strided Sites[Site]'s lanes into Dst's column
 	cMov
 	cTrunc
 	cNeg
@@ -89,38 +104,39 @@ var colInfo = [cColCount]struct {
 	hasDst bool
 	site   bool
 }{
-	cLoad:  {"Load", 0, true, true},
-	cStore: {"Store", 1, false, true},
-	cMov:   {"Mov", 1, true, false},
-	cTrunc: {"Trunc", 1, true, false},
-	cNeg:   {"Neg", 1, true, false},
-	cNot:   {"Not", 1, true, false},
-	cAdd:   {"Add", 2, true, false},
-	cSub:   {"Sub", 2, true, false},
-	cMul:   {"Mul", 2, true, false},
-	cDivF:  {"DivF", 2, true, false},
-	cDivI:  {"DivI", 2, true, false},
-	cMod:   {"Mod", 2, true, false},
-	cShl:   {"Shl", 2, true, false},
-	cShr:   {"Shr", 2, true, false},
-	cEq:    {"Eq", 2, true, false},
-	cNe:    {"Ne", 2, true, false},
-	cLt:    {"Lt", 2, true, false},
-	cLe:    {"Le", 2, true, false},
-	cGt:    {"Gt", 2, true, false},
-	cGe:    {"Ge", 2, true, false},
-	cAndE:  {"AndE", 2, true, false},
-	cOrE:   {"OrE", 2, true, false},
-	cSel:   {"Sel", 3, true, false},
-	cSqrt:  {"Sqrt", 1, true, false},
-	cExp:   {"Exp", 1, true, false},
-	cLog:   {"Log", 1, true, false},
-	cPow:   {"Pow", 2, true, false},
-	cFabs:  {"Fabs", 1, true, false},
-	cFloor: {"Floor", 1, true, false},
-	cCeil:  {"Ceil", 1, true, false},
-	cFmin:  {"Fmin", 2, true, false},
-	cFmax:  {"Fmax", 2, true, false},
+	cLoad:   {"Load", 0, true, true},
+	cStore:  {"Store", 1, false, true},
+	cGather: {"Gather", 0, true, true},
+	cMov:    {"Mov", 1, true, false},
+	cTrunc:  {"Trunc", 1, true, false},
+	cNeg:    {"Neg", 1, true, false},
+	cNot:    {"Not", 1, true, false},
+	cAdd:    {"Add", 2, true, false},
+	cSub:    {"Sub", 2, true, false},
+	cMul:    {"Mul", 2, true, false},
+	cDivF:   {"DivF", 2, true, false},
+	cDivI:   {"DivI", 2, true, false},
+	cMod:    {"Mod", 2, true, false},
+	cShl:    {"Shl", 2, true, false},
+	cShr:    {"Shr", 2, true, false},
+	cEq:     {"Eq", 2, true, false},
+	cNe:     {"Ne", 2, true, false},
+	cLt:     {"Lt", 2, true, false},
+	cLe:     {"Le", 2, true, false},
+	cGt:     {"Gt", 2, true, false},
+	cGe:     {"Ge", 2, true, false},
+	cAndE:   {"AndE", 2, true, false},
+	cOrE:    {"OrE", 2, true, false},
+	cSel:    {"Sel", 3, true, false},
+	cSqrt:   {"Sqrt", 1, true, false},
+	cExp:    {"Exp", 1, true, false},
+	cLog:    {"Log", 1, true, false},
+	cPow:    {"Pow", 2, true, false},
+	cFabs:   {"Fabs", 1, true, false},
+	cFloor:  {"Floor", 1, true, false},
+	cCeil:   {"Ceil", 1, true, false},
+	cFmin:   {"Fmin", 2, true, false},
+	cFmax:   {"Fmax", 2, true, false},
 }
 
 // colBuiltin maps OpBuiltin kinds to their columnar counterparts.
@@ -182,11 +198,26 @@ func stripParens(e minic.Expr) minic.Expr {
 }
 
 // tryVecLoop qualifies one for loop for the columnar tier and lowers its
-// body to a column program. A nil return means "scalar only"; it must
-// leave no trace in the chunk beyond possibly interned constants.
-func (c *comp) tryVecLoop(fs *minic.ForStmt, par bool, guardSlot int) *VecLoopDesc {
-	info, err := analysis.Analyze(fs, c.file)
-	if err != nil || !info.Vectorizable() || info.Step != 1 || info.IndexVar == "" {
+// body to a column program. info is the loop's analysis when the caller
+// has one, else nil. A nil return means "scalar only"; it must leave no
+// trace in the chunk beyond possibly interned constants.
+func (c *comp) tryVecLoop(fs *minic.ForStmt, info *analysis.LoopInfo, par bool, guardSlot int) *VecLoopDesc {
+	// Only straight-line bodies lower; checking that first spares the
+	// analysis of every loop that nests a loop or a branch.
+	for _, s := range fs.Body.Stmts {
+		switch s.(type) {
+		case *minic.DeclStmt, *minic.AssignStmt, *minic.IncDecStmt, *minic.ExprStmt:
+		default:
+			return nil
+		}
+	}
+	if info == nil {
+		var err error
+		if info, err = analysis.Analyze(fs, c.file); err != nil {
+			return nil
+		}
+	}
+	if !columnarGate(info) || info.Step != 1 || info.IndexVar == "" {
 		return nil
 	}
 	bnd, ok := c.lookup(info.IndexVar)
@@ -230,13 +261,12 @@ func (c *comp) tryVecLoop(fs *minic.ForStmt, par bool, guardSlot int) *VecLoopDe
 		return nil
 	}
 
-	v := &colComp{
+	// The lowering scratch is the compiler's, reused across attempts: most
+	// loops fail qualification, and each attempt would otherwise allocate.
+	v := &c.col
+	*v = colComp{
 		c: c, d: d, ivar: info.IndexVar,
-		temps:  map[string]colTemp{},
-		imms:   map[[2]int32]int32{},
-		consts: map[int32]float64{},
-		sites:  map[[2]int32]int32{},
-		views:  map[int32]int32{},
+		temps: v.temps[:0], siteInt: v.siteInt[:0], siteEB: v.siteEB[:0], views: v.views[:0],
 	}
 	total := condK
 	c.loopVars = append(c.loopVars, info.IndexVar)
@@ -265,6 +295,22 @@ func (c *comp) tryVecLoop(fs *minic.ForStmt, par bool, guardSlot int) *VecLoopDe
 	}
 	d.Upper = up
 	return d
+}
+
+// columnarGate is the analysis's Vectorizable verdict with strided reads
+// let through: a while loop, an indirect, opaque or member subscript, or a
+// strided write still rejects the loop before any lowering work. The
+// lowering itself then takes only strides spelled as literal factors.
+func columnarGate(info *analysis.LoopInfo) bool {
+	if info.HasWhile {
+		return false
+	}
+	for _, a := range info.Accesses {
+		if a.Irregular() && (a.Write || a.Kind != analysis.AccessAffine || a.Field != "" || a.Stride < 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // pureBound accepts loop-bound expressions that are loop-invariant and
@@ -317,6 +363,7 @@ func (c *comp) postCost(s minic.Stmt) (cost, bool) {
 
 // colTemp is a body-declared scalar lowered to a register column.
 type colTemp struct {
+	name     string
 	reg      int32
 	intTyped bool
 }
@@ -324,18 +371,17 @@ type colTemp struct {
 // colComp lowers one loop body to a column program. Every cost it returns
 // is computed with the compiler's own staticCost machinery, so the charges
 // are the scalar encoding's charges by construction, not a re-derivation.
+// Its lookups scan short slices: a loop body names a handful of temps,
+// immediates and sites.
 type colComp struct {
 	c    *comp
 	d    *VecLoopDesc
 	ivar string
 
-	temps   map[string]colTemp
-	imms    map[[2]int32]int32 // (kind, A) -> broadcast register
-	consts  map[int32]float64  // constant-immediate register -> value
-	sites   map[[2]int32]int32 // (isGlobal, A) -> site index
-	siteInt []bool
-	siteEB  []float64
-	views   map[int32]int32 // site index -> bound view register
+	temps   []colTemp // in declaration order; the last of a name wins
+	siteInt []bool    // per site: integer elements
+	siteEB  []float64 // per site: element bytes
+	views   []int32   // per site: the register holding its lanes, -1 until bound
 
 	// lazy counts enclosing lazily-evaluated contexts (&&/|| right sides,
 	// ?: branches). The scalar engine may skip those subexpressions, so a
@@ -343,6 +389,15 @@ type colComp struct {
 	// sites there disqualify the loop. Pure arithmetic is fine: evaluating
 	// it eagerly changes no observable value.
 	lazy int
+}
+
+func (v *colComp) temp(name string) (colTemp, bool) {
+	for i := len(v.temps) - 1; i >= 0; i-- {
+		if v.temps[i].name == name {
+			return v.temps[i], true
+		}
+	}
+	return colTemp{}, false
 }
 
 func (v *colComp) newReg() int32 {
@@ -356,20 +411,28 @@ func (v *colComp) emit(kind, dst, x, y, z, site int32) {
 }
 
 func (v *colComp) immReg(kind, a int32) int32 {
-	key := [2]int32{kind, a}
-	if r, ok := v.imms[key]; ok {
-		return r
+	for _, im := range v.d.Imms {
+		if im.Kind == kind && im.A == a {
+			return im.Dst
+		}
 	}
 	r := v.newReg()
-	v.imms[key] = r
 	v.d.Imms = append(v.d.Imms, VecImm{Kind: kind, A: a, Dst: r})
 	return r
 }
 
 func (v *colComp) constImm(val float64) int32 {
-	r := v.immReg(vimConst, v.c.constIdx(val))
-	v.consts[r] = val
-	return r
+	return v.immReg(vimConst, v.c.constIdx(val))
+}
+
+// constOf returns the value of a constant-immediate register.
+func (v *colComp) constOf(r int32) (float64, bool) {
+	for _, im := range v.d.Imms {
+		if im.Dst == r && im.Kind == vimConst {
+			return v.c.fn.Consts[im.A], true
+		}
+	}
+	return 0, false
 }
 
 func (v *colComp) iotaReg() int32 {
@@ -380,9 +443,10 @@ func (v *colComp) iotaReg() int32 {
 }
 
 // siteOf qualifies one array access as a streamable site: a non-shadowed
-// array name subscripted by exactly the induction variable, with a basic
-// (single-field) element type, outside any lazily-evaluated context.
-func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
+// array name with a basic (single-field) element type, outside any
+// lazily-evaluated context, subscripted by exactly the induction variable
+// or, when gather is set, by a strided form stridedIndex accepts.
+func (v *colComp) siteOf(x *minic.IndexExpr, gather bool) (int32, bool) {
 	if v.lazy > 0 {
 		return 0, false
 	}
@@ -390,11 +454,11 @@ func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	if _, shadowed := v.temps[id.Name]; shadowed {
+	if _, shadowed := v.temp(id.Name); shadowed {
 		return 0, false
 	}
-	sub, ok := stripParens(x.Index).(*minic.Ident)
-	if !ok || sub.Name != v.ivar {
+	stride, off, ok := stridedIndex(x.Index, v.ivar)
+	if !ok || !gather && (stride != 1 || off != 0) {
 		return 0, false
 	}
 	bnd, found := v.c.lookup(id.Name)
@@ -405,40 +469,86 @@ func (v *colComp) siteOf(x *minic.IndexExpr) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	var key [2]int32
-	var s VecSite
+	s := VecSite{Stride: int32(stride), Off: int32(off)}
 	switch bnd.kind {
 	case bindLocalRef:
-		key = [2]int32{0, int32(bnd.slot)}
-		s = VecSite{Local: true, A: int32(bnd.slot)}
+		s.Local, s.A = true, int32(bnd.slot)
 	case bindGlobal:
-		key = [2]int32{1, int32(bnd.gidx)}
-		s = VecSite{A: int32(bnd.gidx)}
+		s.A = int32(bnd.gidx)
 	default:
 		return 0, false
 	}
-	if si, seen := v.sites[key]; seen {
-		return si, true
+	for si, seen := range v.d.Sites {
+		if seen == s {
+			return int32(si), true
+		}
 	}
 	si := int32(len(v.d.Sites))
-	v.sites[key] = si
 	v.d.Sites = append(v.d.Sites, s)
 	v.siteInt = append(v.siteInt, elem.IsInteger())
 	v.siteEB = append(v.siteEB, float64(elem.Size()))
+	v.views = append(v.views, -1)
 	return si, true
 }
 
-// view returns the register bound to a site's column window, emitting the
-// bind on first use. The binding is a zero-copy alias into the backing
-// array, so reads through it always observe prior cStores — the in-order
-// per-lane semantics the scalar loop has.
+// stridedIndex decodes a site subscript as stride*ivar + off: either
+// exactly ivar, or c*ivar (or ivar*c) for a positive int literal c, plus
+// or minus an optional int literal. Both are bounded by maxSiteOff. Other
+// shapes, ivar + 1 included, are not sites.
+func stridedIndex(e minic.Expr, ivar string) (stride, off int64, ok bool) {
+	e = stripParens(e)
+	if id, isIdent := e.(*minic.Ident); isIdent {
+		return 1, 0, id.Name == ivar
+	}
+	if b, isBin := e.(*minic.BinaryExpr); isBin && (b.Op == "+" || b.Op == "-") {
+		term, lit := b.X, stripParens(b.Y)
+		if _, isLit := lit.(*minic.IntLit); !isLit && b.Op == "+" {
+			term, lit = b.Y, stripParens(b.X)
+		}
+		o, isLit := lit.(*minic.IntLit)
+		if !isLit || o.Value > maxSiteOff || o.Value < -maxSiteOff {
+			return 0, 0, false
+		}
+		off = o.Value
+		if b.Op == "-" {
+			off = -off
+		}
+		e = stripParens(term)
+	}
+	m, isMul := e.(*minic.BinaryExpr)
+	if !isMul || m.Op != "*" {
+		return 0, 0, false
+	}
+	c, isLit := stripParens(m.X).(*minic.IntLit)
+	id, isIdent := stripParens(m.Y).(*minic.Ident)
+	if !isLit {
+		c, isLit = stripParens(m.Y).(*minic.IntLit)
+		id, isIdent = stripParens(m.X).(*minic.Ident)
+	}
+	if !isLit || !isIdent || id.Name != ivar || c.Value < 1 || c.Value > maxSiteOff {
+		return 0, 0, false
+	}
+	return c.Value, off, true
+}
+
+// view returns the register holding a site's lanes, emitting its bind on
+// first use. A unit site binds a zero-copy alias into the backing array,
+// so reads through it always observe prior cStores — the in-order
+// per-lane semantics the scalar loop has. A strided site gathers its
+// lanes into a pooled column once: the batch bails to scalar when a
+// gathered array shares storage with a stored site, so nothing the batch
+// writes can change them.
 func (v *colComp) view(si int32) int32 {
-	if r, ok := v.views[si]; ok {
+	if r := v.views[si]; r >= 0 {
 		return r
 	}
 	r := v.newReg()
 	v.views[si] = r
-	v.emit(cLoad, r, -1, -1, -1, si)
+	kind := cLoad
+	if !v.d.Sites[si].unit() {
+		kind = cGather
+	}
+	v.emit(kind, r, -1, -1, -1, si)
 	return r
 }
 
@@ -476,7 +586,7 @@ func (v *colComp) declStmt(d *minic.DeclStmt) (cost, bool) {
 	if vd.Init == nil {
 		// Scalar: OpZero, no charge.
 		v.emit(cMov, reg, v.constImm(0), -1, -1, -1)
-		v.temps[vd.Name] = colTemp{reg: reg, intTyped: bt.IsInteger()}
+		v.temps = append(v.temps, colTemp{name: vd.Name, reg: reg, intTyped: bt.IsInteger()})
 		return cost{}, true
 	}
 	k, err := v.c.staticCost(vd.Init)
@@ -494,7 +604,7 @@ func (v *colComp) declStmt(d *minic.DeclStmt) (cost, bool) {
 	} else {
 		v.emit(cMov, reg, r, -1, -1, -1)
 	}
-	v.temps[vd.Name] = colTemp{reg: reg, intTyped: bt.IsInteger()}
+	v.temps = append(v.temps, colTemp{name: vd.Name, reg: reg, intTyped: bt.IsInteger()})
 	return k, true
 }
 
@@ -508,7 +618,7 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 		// Only body-declared temporaries are assignable: writing an outer
 		// scalar would invalidate the one-shot immediate broadcasts (and
 		// reductions have cross-lane dependences the tier cannot honor).
-		t, ok := v.temps[lhs.Name]
+		t, ok := v.temp(lhs.Name)
 		if !ok {
 			return cost{}, false
 		}
@@ -551,7 +661,7 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 			if !ok {
 				return cost{}, false
 			}
-			si, ok := v.siteOf(lhs)
+			si, ok := v.siteOf(lhs, false)
 			if !ok {
 				return cost{}, false
 			}
@@ -564,7 +674,7 @@ func (v *colComp) assign(x *minic.AssignStmt) (cost, bool) {
 			return cost{k.w + 2, k.b + v.siteEB[si], k.irr}, true
 		}
 		// Compound store: the scalar encoding reads the element first.
-		si, ok := v.siteOf(lhs)
+		si, ok := v.siteOf(lhs, false)
 		if !ok {
 			return cost{}, false
 		}
@@ -595,7 +705,7 @@ func (v *colComp) incDec(x *minic.IncDecStmt) (cost, bool) {
 	}
 	switch lhs := stripParens(x.X).(type) {
 	case *minic.Ident:
-		t, ok := v.temps[lhs.Name]
+		t, ok := v.temp(lhs.Name)
 		if !ok {
 			return cost{}, false
 		}
@@ -603,7 +713,7 @@ func (v *colComp) incDec(x *minic.IncDecStmt) (cost, bool) {
 		v.emit(cAdd, t.reg, t.reg, v.constImm(delta), -1, -1)
 		return cost{1, 0, 0}, true
 	case *minic.IndexExpr:
-		si, ok := v.siteOf(lhs)
+		si, ok := v.siteOf(lhs, false)
 		if !ok {
 			return cost{}, false
 		}
@@ -634,12 +744,12 @@ func (v *colComp) compoundKind(op string, intCtx bool, rhs int32) (int32, bool) 
 		if !intCtx {
 			return cDivF, true
 		}
-		if val, ok := v.consts[rhs]; ok && val != 0 {
+		if val, ok := v.constOf(rhs); ok && val != 0 {
 			return cDivI, true
 		}
 		return 0, false
 	case "%":
-		if val, ok := v.consts[rhs]; ok && int64(val) != 0 {
+		if val, ok := v.constOf(rhs); ok && int64(val) != 0 {
 			return cMod, true
 		}
 		return 0, false
@@ -684,7 +794,7 @@ func (v *colComp) expr(e minic.Expr) (int32, bool) {
 		if x.Name == v.ivar {
 			return v.iotaReg(), true
 		}
-		if t, ok := v.temps[x.Name]; ok {
+		if t, ok := v.temp(x.Name); ok {
 			return t.reg, true
 		}
 		bnd, ok := v.c.lookup(x.Name)
@@ -716,7 +826,7 @@ func (v *colComp) expr(e minic.Expr) (int32, bool) {
 		v.emit(kind, dst, r, -1, -1, -1)
 		return dst, true
 	case *minic.IndexExpr:
-		si, ok := v.siteOf(x)
+		si, ok := v.siteOf(x, true)
 		if !ok {
 			return 0, false
 		}
@@ -776,7 +886,7 @@ func (v *colComp) binary(x *minic.BinaryExpr) (int32, bool) {
 		if !ok {
 			return 0, false
 		}
-		bv, isConst := v.consts[b]
+		bv, isConst := v.constOf(b)
 		if !isConst {
 			return 0, false
 		}

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"comp/internal/interp"
 )
@@ -122,11 +123,27 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	if guess < float64(k) {
 		k = int64(guess)
 	}
-	// Clamp to the shortest site so a bounds fault replays scalar-side.
-	for _, a := range arrs {
-		if n := int64(a.Len()) - ilo; n < k {
+	// Clamp to the shortest site so a bounds fault replays scalar-side:
+	// the last lane's index Stride*(ilo+k-1)+Off must be in range. A
+	// strided site's first index can be negative where ilo is not; the
+	// scalar loop then faults in its first iteration.
+	gathers := false
+	for i, s := range d.Sites {
+		st, off := int64(s.Stride), int64(s.Off)
+		last := int64(arrs[i].Len()) - 1 - off
+		if st*ilo+off < 0 || last < 0 {
+			return
+		}
+		if n := last/st - ilo + 1; n < k {
 			k = n
 		}
+		gathers = gathers || !s.unit()
+	}
+	// A gather reads its lanes before the batch stores any: a gathered
+	// array that shares storage with a stored site would read values the
+	// scalar loop overwrites first, so such loops stay scalar.
+	if gathers && gatherAliased(d, arrs) {
+		return
 	}
 	if m.budgetOn && k > m.budget {
 		k = m.budget
@@ -170,13 +187,15 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	} else {
 		f[d.GuardSlot] += float64(k)
 	}
-	// Device-touch ranges: each global site saw exactly [ilo, ilo+k-1],
-	// recorded in site order = the scalar first-touch order.
+	// Device-touch ranges: each global site saw exactly the indices
+	// Stride*i+Off for i in [ilo, ilo+k-1], recorded by their endpoints in
+	// site order = the scalar first-touch order.
 	if m.tracking {
 		for i, s := range d.Sites {
 			if !s.Local {
-				m.touchDev(arrs[i], ilo)
-				m.touchDev(arrs[i], ilo+k-1)
+				st, off := int64(s.Stride), int64(s.Off)
+				m.touchDev(arrs[i], st*ilo+off)
+				m.touchDev(arrs[i], st*(ilo+k-1)+off)
 			}
 		}
 	}
@@ -188,6 +207,32 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 	} else {
 		m.gstore(d.IdxG, end)
 	}
+}
+
+// gatherAliased reports whether the array of any strided (gathered) site
+// overlaps the array of any site the program stores to.
+func gatherAliased(d *VecLoopDesc, arrs []*interp.Array) bool {
+	for _, in := range d.Prog {
+		if in.Kind != cStore {
+			continue
+		}
+		for i, s := range d.Sites {
+			if !s.unit() && overlaps(arrs[i].Data, arrs[in.Site].Data) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// overlaps reports whether two slices share any backing memory.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const w = unsafe.Sizeof(float64(0))
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*w && pb < pa+uintptr(len(a))*w
 }
 
 // colExec runs the column program over k iterations in blocks of colBlock.
@@ -236,7 +281,7 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 			}
 		}
 		for _, in := range d.Prog {
-			m.colStep(in, regs, arrs, base, bn)
+			m.colStep(in, d.Sites, regs, arrs, base, bn)
 		}
 	}
 }
@@ -244,7 +289,7 @@ func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp
 // colStep executes one column instruction over bn lanes. Lane semantics
 // are copied from the scalar dispatch loop op for op (same conversions,
 // same boolToF normalization), so values are bit-identical.
-func (m *machine) colStep(in ColIns, regs [][]float64, arrs []*interp.Array, base, bn int) {
+func (m *machine) colStep(in ColIns, sites []VecSite, regs [][]float64, arrs []*interp.Array, base, bn int) {
 	switch in.Kind {
 	case cLoad:
 		a := arrs[in.Site]
@@ -252,6 +297,14 @@ func (m *machine) colStep(in ColIns, regs [][]float64, arrs []*interp.Array, bas
 	case cStore:
 		a := arrs[in.Site]
 		copy(a.Data[base:base+bn], regs[in.X][:bn])
+	case cGather:
+		s, data, d := sites[in.Site], arrs[in.Site].Data, regs[in.Dst]
+		st := int(s.Stride)
+		at := st*base + int(s.Off)
+		for j := 0; j < bn; j++ {
+			d[j] = data[at]
+			at += st
+		}
 	case cMov:
 		copy(regs[in.Dst][:bn], regs[in.X][:bn])
 	case cTrunc:
@@ -476,6 +529,12 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 		}
 	}
 	for i, s := range d.Sites {
+		if s.Stride <= 0 || s.Stride > maxSiteOff {
+			return fmt.Errorf("site %d: stride %d outside [1, %d]", i, s.Stride, maxSiteOff)
+		}
+		if s.Off < -maxSiteOff || s.Off > maxSiteOff {
+			return fmt.Errorf("site %d: offset %d outside ±%d", i, s.Off, maxSiteOff)
+		}
 		if s.Local {
 			if s.A < 0 || int(s.A) >= ch.RefSlots {
 				return fmt.Errorf("site %d: ref slot %d out of range [0,%d)", i, s.A, ch.RefSlots)
@@ -507,6 +566,14 @@ func validateVecLoop(ch *Chunk, d *VecLoopDesc, nGlobals, nFuncs int) error {
 			}
 		}
 		switch in.Kind {
+		case cLoad, cStore:
+			if !d.Sites[in.Site].unit() {
+				return fmt.Errorf("prog %d (%s): strided site %d", i, info.name, in.Site)
+			}
+		case cGather:
+			if d.Sites[in.Site].unit() {
+				return fmt.Errorf("prog %d (%s): unit site %d", i, info.name, in.Site)
+			}
 		case cDivI:
 			if v, ok := constVal[in.Y]; !ok || v == 0 {
 				return fmt.Errorf("prog %d: integer division needs a nonzero constant divisor", i)

@@ -63,6 +63,9 @@ func TestColumnarQualification(t *testing.T) {
 		{"le_bound", `for (i = 0; i <= 60; i++) { z[i] = x[i]; }`, 1},
 		{"eager_logic", `for (i = 0; i < 64; i++) { ia[i] = ((x[i] > 1.0) && (s < 60.0)); }`, 1},
 		{"site_in_and_rhs", `for (i = 0; i < 64; i++) { ia[i] = ((s > 0.0) && (y[i] < 60.0)); }`, 0},
+		{"strided_read", `for (i = 0; i < 32; i++) { z[i] = x[2*i]; }`, 1},
+		{"strided_read_offset", `for (i = 0; i < 8; i++) { z[i] = x[8*i + 1] + x[8*i]; }`, 1},
+		{"strided_read_negative_offset", `for (i = 1; i < 22; i++) { z[i] = x[3*i - 2]; }`, 1},
 
 		{"reduction", `for (i = 0; i < 64; i++) { s += x[i]; }`, 0},
 		{"user_call", `for (i = 0; i < 64; i++) { z[i] = h(x[i]); }`, 0},
@@ -74,6 +77,9 @@ func TestColumnarQualification(t *testing.T) {
 		{"outer_scalar_write", `for (i = 0; i < 64; i++) { acc = ia[i]; }`, 0},
 		{"printf_body", `for (i = 0; i < 64; i++) { printf("%g\n", x[i]); }`, 0},
 		{"site_in_ternary_arm", `for (i = 0; i < 64; i++) { z[i] = (s > 0.0 ? x[i] : 0.0); }`, 0},
+		{"strided_store", `for (i = 0; i < 32; i++) { z[2*i] = x[i]; }`, 0},
+		{"nonliteral_stride", `for (i = 0; i < 1; i++) { z[i] = x[n*i]; }`, 0},
+		{"strided_read_in_ternary_arm", `for (i = 0; i < 32; i++) { z[i] = (s > 0.0 ? x[2*i] : 0.0); }`, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -264,5 +270,153 @@ func TestVerifierRejectsVecLoopCorruption(t *testing.T) {
 	cp.VecLoops = cp.VecLoops[:0]
 	if err := vm.VerifyChunk(cp, len(mod.Globals), len(mod.Funcs)); err == nil {
 		t.Error("dangling OpVecLoop descriptor index not rejected")
+	}
+}
+
+// TestVerifierRejectsStridedSiteCorruption: a gather must name a strided
+// site, a load or store a unit one, and a site's stride must lie in
+// [1, 2^20] and its offset in ±2^20.
+func TestVerifierRejectsStridedSiteCorruption(t *testing.T) {
+	mod := columnarModule(t, wrapLoop(`    for (i = 0; i < 32; i++) { z[i] = s * x[2*i + 1] + y[i]; }`))
+	ch := mod.Funcs[mod.Main]
+	d0 := ch.VecLoops[len(ch.VecLoops)-1]
+	// Sites register in evaluation order: x[2*i + 1], y[i], then z[i].
+	if len(d0.Sites) != 3 || d0.Sites[0].Stride != 2 || d0.Sites[0].Off != 1 || d0.Sites[1].Stride != 1 {
+		t.Fatalf("unexpected sites: %+v", d0.Sites)
+	}
+	if err := vm.VerifyChunk(ch, len(mod.Globals), len(mod.Funcs)); err != nil {
+		t.Fatalf("uncorrupted descriptor rejected: %v", err)
+	}
+	const strided, unit, stored = 0, 1, 2
+	// retarget moves the first instruction naming site from onto site to.
+	retarget := func(from, to int32) func(d *vm.VecLoopDesc) {
+		return func(d *vm.VecLoopDesc) {
+			for i := range d.Prog {
+				if d.Prog[i].Site == from {
+					d.Prog[i].Site = to
+					return
+				}
+			}
+			t.Fatalf("no instruction names site %d", from)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(d *vm.VecLoopDesc)
+	}{
+		{"gather on a unit site", retarget(strided, unit)},
+		{"load on a strided site", retarget(unit, strided)},
+		{"store on a strided site", retarget(stored, strided)},
+		{"zero stride", func(d *vm.VecLoopDesc) { d.Sites[strided].Stride = 0 }},
+		{"negative stride", func(d *vm.VecLoopDesc) { d.Sites[unit].Stride = -1 }},
+		{"stride above 2^20", func(d *vm.VecLoopDesc) { d.Sites[strided].Stride = 1<<20 + 1 }},
+		{"offset above 2^20", func(d *vm.VecLoopDesc) { d.Sites[strided].Off = 1<<20 + 1 }},
+		{"offset below -2^20", func(d *vm.VecLoopDesc) { d.Sites[strided].Off = -1<<20 - 1 }},
+	} {
+		cp := deepCopyChunk(ch)
+		tc.mut(cp.VecLoops[len(cp.VecLoops)-1])
+		if err := vm.VerifyChunk(cp, len(mod.Globals), len(mod.Funcs)); err == nil {
+			t.Errorf("%s not rejected", tc.name)
+		}
+	}
+}
+
+// stridedCases are loops whose reads are strided, a[c*i + o]: the tier
+// gathers them, and each case holds one rule of that gather to the
+// scalar loop. They also seed FuzzVMDiff and FuzzColumnarDiff.
+var stridedCases = []struct {
+	name, src string
+}{
+	// b[i] = a[2*i] runs past a's end at i = 10: the batch covers i < 10
+	// and the scalar loop faults at i = 10 with its own message.
+	{"read_past_end", `
+float a[20]; float b[16];
+int main(void) {
+    int i;
+    for (i = 0; i < 20; i++) { a[i] = i * 0.5; }
+    for (i = 0; i < 16; i++) { b[i] = a[2*i] + 1.0; }
+    printf("%g\n", b[9]);
+    return 0;
+}`},
+	// The first index, 2*0 - 1, is negative: the scalar loop faults at once.
+	{"negative_first_index", `
+float a[20]; float b[16];
+int main(void) {
+    int i;
+    for (i = 0; i < 20; i++) { a[i] = i * 0.5; }
+    for (i = 0; i < 8; i++) { b[i] = a[2*i - 1]; }
+    return 0;
+}`},
+	// A gathered array that is also stored stays scalar. In the second
+	// and third loops iterations read what earlier ones wrote: i = 6
+	// reads a[4], and a[1*i - 1] is a running sum.
+	{"self_alias", `
+float a[64];
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i++) { a[i] = i * 0.5; }
+    for (i = 0; i < 32; i++) { a[i] = a[2*i]; }
+    for (i = 4; i < 32; i++) { a[i] = a[2*i - 8] + 1.0; }
+    for (i = 1; i < 64; i++) { a[i] = a[1*i - 1] + a[i]; }
+    printf("%g %g %g\n", a[6], a[7], a[63]);
+    return 0;
+}`},
+	// The same aliasing through pointers, a local and a global one.
+	{"pointer_alias", `
+float a[64];
+float *q;
+int main(void) {
+    int i;
+    float *p;
+    for (i = 0; i < 64; i++) { a[i] = i * 0.5; }
+    p = a;
+    for (i = 4; i < 32; i++) { p[i] = a[2*i - 8] + 1.0; }
+    q = a;
+    for (i = 1; i < 64; i++) { q[i] = a[1*i - 1] * 0.5 + 1.0; }
+    printf("%g %g %g\n", a[6], a[7], a[63]);
+    return 0;
+}`},
+	// Integer elements: the gather feeds int arithmetic and a truncating
+	// int store, and a read-only strided array beside a stored one.
+	{"int_arrays", `
+int ia[64]; int ib[21];
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i++) { ia[i] = (i * 7) % 11; }
+    for (i = 0; i < 21; i++) { ib[i] = ia[3*i + 1] * 3 / 2 + ia[i]; }
+    printf("%d %d %d\n", ib[0], ib[10], ib[20]);
+    return 0;
+}`},
+	// Strided reads in offload kernels, where each device buffer's touched
+	// range is part of the backend trace, and one kernel that overruns.
+	{"offload_kernel", `
+float x[64]; float y[32]; float z[16];
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i++) { x[i] = i * 0.25 + 1.0; }
+    #pragma offload target(mic:0) in(x : length(64)) out(y : length(32))
+    #pragma omp parallel for
+    for (i = 0; i < 32; i++) { y[i] = x[2*i] * x[2*i + 1]; }
+    #pragma offload target(mic:0) in(x : length(64)) out(z : length(16))
+    #pragma omp parallel for
+    for (i = 0; i < 15; i++) { z[i] = sqrt(x[4*i + 3]); }
+    #pragma offload target(mic:0) in(x : length(64)) out(z : length(16))
+    #pragma omp parallel for
+    for (i = 0; i < 16; i++) { z[i] = x[5*i]; }
+    printf("%g %g\n", y[31], z[14]);
+    return 0;
+}`},
+}
+
+// TestVMDiffStridedReads holds the strided gather to the tree-walker and
+// the scalar-only VM, bit for bit: outputs, globals, faults, Work and
+// device-touch ranges.
+func TestVMDiffStridedReads(t *testing.T) {
+	for _, tc := range stridedCases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			diffRun(t, tc.src, nil, 0)
+		})
 	}
 }

@@ -87,6 +87,7 @@ type comp struct {
 	scopes   []map[string]vbind
 	loopVars []string
 	loops    []*loopCtx
+	col      colComp // tryVecLoop's lowering scratch
 }
 
 // loopCtx collects break/continue patch sites for the enclosing loop.
@@ -579,11 +580,13 @@ func (c *comp) forStmt(fs *minic.ForStmt) error {
 	c.push()
 	defer c.pop()
 
-	// Static vectorizability for parallel loops.
+	// Static vectorizability for parallel loops; the columnar tier reuses
+	// the analysis below.
 	vec := false
+	var info *analysis.LoopInfo
 	if omp != nil {
-		if info, aerr := analysis.Analyze(fs, c.file); aerr == nil {
-			vec = info.Vectorizable()
+		if i, aerr := analysis.Analyze(fs, c.file); aerr == nil {
+			info, vec = i, i.Vectorizable()
 		}
 	}
 
@@ -612,7 +615,7 @@ func (c *comp) forStmt(fs *minic.ForStmt) error {
 	// fast-forwards whole batches and falls through; the scalar loop below
 	// is unchanged and still owns ragged tails and faults.
 	if fs.Cond != nil && fs.Post != nil && fs.Body != nil {
-		if d := c.tryVecLoop(fs, omp != nil, g); d != nil {
+		if d := c.tryVecLoop(fs, info, omp != nil, g); d != nil {
 			c.fn.VecLoops = append(c.fn.VecLoops, d)
 			c.emit(OpVecLoop, int32(len(c.fn.VecLoops)-1), 0)
 		}

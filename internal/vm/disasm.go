@@ -45,7 +45,7 @@ func Disassemble(ch *Chunk) string {
 			if s.Local {
 				kind = "local"
 			}
-			fmt.Fprintf(&sb, "vecsite %d %s %d\n", i, kind, s.A)
+			fmt.Fprintf(&sb, "vecsite %d %s %d %d %d\n", i, kind, s.A, s.Stride, s.Off)
 		}
 		for _, in := range d.Prog {
 			fmt.Fprintf(&sb, "veccol %d %s %d %d %d %d %d\n",
@@ -245,18 +245,22 @@ func Assemble(text string) (*Chunk, error) {
 			}
 			d.Imms = append(d.Imms, VecImm{Kind: kind, A: int32(a), Dst: int32(dst)})
 		case fields[0] == "vecsite":
-			d, err := vecAt(ch, fields, 4, ln)
+			d, err := vecAt(ch, fields, 6, ln)
 			if err != nil {
 				return nil, err
 			}
 			if fields[2] != "local" && fields[2] != "global" {
 				return nil, fmt.Errorf("line %d: unknown site kind %q", ln+1, fields[2])
 			}
-			a, err := strconv.ParseInt(fields[3], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", ln+1, err)
+			var ops [3]int32
+			for i, f := range fields[3:6] {
+				n, err := strconv.ParseInt(f, 10, 32)
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %v", ln+1, err)
+				}
+				ops[i] = int32(n)
 			}
-			d.Sites = append(d.Sites, VecSite{Local: fields[2] == "local", A: int32(a)})
+			d.Sites = append(d.Sites, VecSite{Local: fields[2] == "local", A: ops[0], Stride: ops[1], Off: ops[2]})
 		case fields[0] == "veccol":
 			d, err := vecAt(ch, fields, 8, ln)
 			if err != nil {

@@ -35,6 +35,9 @@ func FuzzVMDiff(f *testing.F) {
 	for _, c := range recycleCases {
 		f.Add(c.src)
 	}
+	for _, c := range stridedCases {
+		f.Add(c.src)
+	}
 	f.Add("int a; int main(void) { a = 1 / (a - a); return 0; }")
 	f.Add("int main(void) { printf(\"%d %d\\n\", 1); return 0; }")
 
@@ -74,10 +77,13 @@ func FuzzVMDiff(f *testing.F) {
 // FuzzColumnarDiff: the VM and its columnar tier against the tree-walker
 // alone, with seeds biased toward loops that actually lower to fused
 // vector ops — batched stores, ragged tails, eager selects,
-// read-modify-write sites.
+// read-modify-write sites, strided gathers.
 func FuzzColumnarDiff(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(genProgram(seed))
+	}
+	for _, c := range stridedCases {
+		f.Add(c.src)
 	}
 	f.Add(`float a[20]; float b[20]; int main(void) { int i; for (i = 0; i < 20; i++) { a[i] = i * 0.5; } for (i = 0; i < 20; i++) { b[i] = a[i] * 2.0 + 1.0; } printf("%g\n", b[19]); return 0; }`)
 	f.Add(`float a[9]; float lim; int main(void) { int i; lim = 6.5; for (i = 0; i < 9; i++) { a[i] = i; } for (i = 0; i < lim; i++) { a[i] += 1.5; } printf("%g %d\n", a[8], i); return 0; }`)

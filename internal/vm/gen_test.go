@@ -257,6 +257,9 @@ func (g *progGen) vexpr(v string, arrs []genArr, d int) string {
 // vecLoop emits a loop shaped to pass the columnar qualifier: unit step,
 // element-wise body over a[v] sites, occasionally a ragged bound or a
 // compound store so tails and read-modify-write batches get coverage.
+// Half the loops also add a strided read a[c*v + o], the regularization
+// gather shape, with the bound kept in range but for an occasional
+// overrun that must fault like the scalar loop.
 func (g *progGen) vecLoop(depth, d int) {
 	if len(g.loopVars) >= 3 {
 		g.forLoop(depth, d, false)
@@ -273,6 +276,7 @@ func (g *progGen) vecLoop(depth, d int) {
 			n = a.n
 		}
 	}
+	minIn := n
 	out := g.farrs[g.r.Intn(len(g.farrs))]
 	if out.n < n {
 		n = out.n
@@ -280,15 +284,23 @@ func (g *progGen) vecLoop(depth, d int) {
 	if g.r.Intn(4) == 0 {
 		n -= g.r.Intn(3) // ragged vs the block size is fine; stay in bounds
 	}
+	gather := ""
+	if g.r.Intn(2) == 0 {
+		c, o := 2+g.r.Intn(3), g.r.Intn(3)
+		gather = fmt.Sprintf(" + %s[%d * %s + %d]", arrs[g.r.Intn(len(arrs))].name, c, v, o)
+		if g.r.Intn(8) != 0 {
+			n = min(n, (minIn-1-o)/c+1)
+		}
+	}
 	g.line(depth, "for (%s = 0; %s < %d; %s++) {", v, v, n, v)
 	g.loopVars = append(g.loopVars, v)
 	if g.r.Intn(3) == 0 {
 		g.line(depth+1, "float tv = %s;", g.vexpr(v, arrs, d-1))
-		g.line(depth+1, "%s[%s] = tv + %s;", out.name, v, g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] = tv + %s%s;", out.name, v, g.vexpr(v, arrs, d-1), gather)
 	} else if g.r.Intn(3) == 0 {
-		g.line(depth+1, "%s[%s] %s %s;", out.name, v, g.pick([]string{"+=", "-=", "*="}), g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] %s %s%s;", out.name, v, g.pick([]string{"+=", "-=", "*="}), g.vexpr(v, arrs, d-1), gather)
 	} else {
-		g.line(depth+1, "%s[%s] = %s;", out.name, v, g.vexpr(v, arrs, d-1))
+		g.line(depth+1, "%s[%s] = %s%s;", out.name, v, g.vexpr(v, arrs, d-1), gather)
 	}
 	g.loopVars = g.loopVars[:len(g.loopVars)-1]
 	g.line(depth, "}")
