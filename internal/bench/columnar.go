@@ -35,6 +35,10 @@ type ColumnarRow struct {
 	VecLoops int `json:"vec_loops"`
 	// Synthetic marks the element-wise kernel rows (vs real workloads).
 	Synthetic bool `json:"synthetic,omitempty"`
+	// Stale marks a committed row whose vec_loops was corrected by hand
+	// after its timings were taken: the regression guard skips its ratio
+	// until the file is regenerated. The generator never sets it.
+	Stale bool `json:"stale,omitempty"`
 	// Best-of-N wall-clock of one full run per mode.
 	VMNs       int64 `json:"vm_ns,omitempty"`
 	ColumnarNs int64 `json:"columnar_ns,omitempty"`

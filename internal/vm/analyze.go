@@ -63,6 +63,14 @@ func analyzeChunk(ch *Chunk, nGlobals, nFuncs int) (int, int, error) {
 	// depths an instruction needs, after validating its operand indices.
 	effect := func(ip int) (df, dr, needF, needR int, err error) {
 		in := code[ip]
+		if in.W != 0 {
+			if !isBranch(in.Op) {
+				return 0, 0, 0, 0, fmt.Errorf("instr %d (%s): work charge on a non-branch", ip, in.Op)
+			}
+			if err = inBounds(int32(in.W)-1, len(ch.Works), "charge", ip); err != nil {
+				return 0, 0, 0, 0, err
+			}
+		}
 		switch in.Op {
 		case OpNop, OpWork, OpZero, OpInc, OpJmp, OpParEnter, OpParExit,
 			OpOffEnter, OpOffExit, OpTransfer, OpWait, OpDevChk,

@@ -10,47 +10,14 @@ import (
 
 // colScratch is the columnar tier's working memory: colBlock-sized
 // register columns, the per-batch register table (cLoad rebinds entries
-// to array windows) and the resolved site arrays. A run takes one from
-// colFree at its first vector loop and returns it when the run exits,
-// faults included, so requests reuse columns instead of allocating them.
+// to array windows) and the resolved site arrays. It lives on the machine,
+// so a pooled machine's next run reuses its columns instead of allocating
+// them; release clears regs and arrs, the entries that can point into
+// program arrays.
 type colScratch struct {
 	cols [][]float64
 	regs [][]float64
 	arrs []*interp.Array
-}
-
-// colFree is the process-wide free list of column scratch. Unlike a
-// sync.Pool it survives garbage collection, which on a serving process
-// runs between most requests. Its capacity bounds what it keeps, and RSS
-// with it: 4 scratches cover one running program per core on a small
-// host. A run that finds the list empty allocates, and a release that
-// finds it full drops its scratch.
-var colFree = make(chan *colScratch, 4)
-
-// takeCols returns a free column scratch, or a new one.
-func takeCols() *colScratch {
-	select {
-	case c := <-colFree:
-		return c
-	default:
-		return new(colScratch)
-	}
-}
-
-// releaseCols returns the run's column scratch to colFree, dropping its
-// references to program arrays first, and adds the run's batches to the
-// engine's count.
-func (m *machine) releaseCols() {
-	if m.col == nil {
-		return
-	}
-	clear(m.col.regs)
-	clear(m.col.arrs)
-	select {
-	case colFree <- m.col:
-	default:
-	}
-	m.eng.vecRuns.Add(m.vecRuns)
 }
 
 // runVecLoop executes one fused loop in blocked columnar batches, then
@@ -79,10 +46,7 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 		return
 	}
 	ilo := int64(lo)
-	if m.col == nil {
-		m.col = takeCols()
-	}
-	c := m.col
+	c := &m.col
 	if len(c.arrs) < len(d.Sites) {
 		c.arrs = make([]*interp.Array, len(d.Sites))
 	}
@@ -188,14 +152,14 @@ func (m *machine) runVecLoop(ch *Chunk, d *VecLoopDesc, f []float64, r []*interp
 		f[d.GuardSlot] += float64(k)
 	}
 	// Device-touch ranges: each global site saw exactly the indices
-	// Stride*i+Off for i in [ilo, ilo+k-1], recorded by their endpoints in
-	// site order = the scalar first-touch order.
+	// Stride*i+Off for i in [ilo, ilo+k-1], recorded by their endpoints
+	// in the site's global's touch slot.
 	if m.tracking {
 		for i, s := range d.Sites {
 			if !s.Local {
 				st, off := int64(s.Stride), int64(s.Off)
-				m.touchDev(arrs[i], st*ilo+off)
-				m.touchDev(arrs[i], st*(ilo+k-1)+off)
+				m.touch(s.A, arrs[i], st*ilo+off)
+				m.touch(s.A, arrs[i], st*(ilo+k-1)+off)
 			}
 		}
 	}
@@ -238,7 +202,7 @@ func overlaps(a, b []float64) bool {
 // colExec runs the column program over k iterations in blocks of colBlock.
 func (m *machine) colExec(ch *Chunk, d *VecLoopDesc, f []float64, arrs []*interp.Array, ilo, k int64) {
 	n := int(d.NRegs)
-	c := m.col
+	c := &m.col
 	if len(c.cols) < n {
 		slab := make([]float64, n*colBlock)
 		c.cols = make([][]float64, n)

@@ -53,7 +53,12 @@ func Disassemble(ch *Chunk) string {
 		}
 	}
 	for i, in := range ch.Code {
-		fmt.Fprintf(&sb, "%4d: %s %d %d\n", i, in.Op, in.A, in.B)
+		fmt.Fprintf(&sb, "%4d: %s %d %d", i, in.Op, in.A, in.B)
+		if in.W != 0 {
+			// A branch carrying its block's charge: Works[W-1].
+			fmt.Fprintf(&sb, " w=%d", in.W)
+		}
+		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
@@ -280,7 +285,7 @@ func Assemble(text string) (*Chunk, error) {
 			}
 			d.Prog = append(d.Prog, ColIns{Kind: kind, Dst: ops[0], X: ops[1], Y: ops[2], Z: ops[3], Site: ops[4]})
 		case strings.HasSuffix(fields[0], ":"):
-			if len(fields) != 4 {
+			if len(fields) != 4 && len(fields) != 5 {
 				return nil, fmt.Errorf("line %d: malformed instruction", ln+1)
 			}
 			idx, err := strconv.Atoi(strings.TrimSuffix(fields[0], ":"))
@@ -299,7 +304,16 @@ func Assemble(text string) (*Chunk, error) {
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %v", ln+1, err)
 			}
-			ch.Code = append(ch.Code, Instr{Op: op, A: int32(a), B: int32(b)})
+			in := Instr{Op: op, A: int32(a), B: int32(b)}
+			if len(fields) == 5 {
+				v, ok := strings.CutPrefix(fields[4], "w=")
+				w, err := strconv.ParseUint(v, 10, 16)
+				if !ok || err != nil || w == 0 {
+					return nil, fmt.Errorf("line %d: malformed charge %q", ln+1, fields[4])
+				}
+				in.W = uint16(w)
+			}
+			ch.Code = append(ch.Code, in)
 		default:
 			return nil, fmt.Errorf("line %d: unrecognized line %q", ln+1, line)
 		}

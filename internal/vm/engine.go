@@ -9,11 +9,12 @@ import (
 )
 
 // Engine executes a compiled Module as a drop-in replacement for the
-// tree-walker. It holds no program state: each Run gets a fresh machine
-// over the Program it is handed, so one Engine serves the program it was
-// compiled from and every instance of that program's Layout, across
-// Reset/Run cycles and from concurrent goroutines. Loops that qualified
-// at compile time run through the columnar batch tier (OpVecLoop).
+// tree-walker. It holds no program state: each Run takes a machine from
+// machFree, cleared of any earlier run, over the Program it is handed, so
+// one Engine serves the program it was compiled from and every instance
+// of that program's Layout, across Reset/Run cycles and from concurrent
+// goroutines. Loops that qualified at compile time run through the
+// columnar batch tier (OpVecLoop).
 type Engine struct {
 	mod *Module
 	// scalar turns OpVecLoop into a no-op (NewScalarEngine); the bytecode
@@ -114,10 +115,15 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 	if p.Layout() != e.mod.Layout {
 		return fmt.Errorf("vm: engine compiled for a different program layout")
 	}
-	m := &machine{p: p, backend: b, mod: e.mod, eng: e}
+	m := takeMachine()
+	m.p, m.backend, m.mod, m.eng = p, b, e.mod, e
 	defer func() {
-		m.releaseCols()
-		if r := recover(); r != nil {
+		if m.vecRuns != 0 {
+			e.vecRuns.Add(m.vecRuns)
+		}
+		r := recover()
+		m.release()
+		if r != nil {
 			if re, ok := r.(*interp.RuntimeError); ok {
 				err = re
 				return
@@ -125,7 +131,7 @@ func (e *Engine) Run(p *interp.Program, b interp.Backend) (err error) {
 			panic(r)
 		}
 	}()
-	m.globals = make([]interp.GlobalHandle, len(e.mod.Globals))
+	m.globals = resized(m.globals, len(e.mod.Globals))
 	for i, g := range e.mod.Globals {
 		m.globals[i] = p.GlobalAt(int(g.Slot))
 	}

@@ -38,6 +38,12 @@ func FuzzVMDiff(f *testing.F) {
 	for _, c := range stridedCases {
 		f.Add(c.src)
 	}
+	for _, c := range chargeCases {
+		f.Add(c.src)
+	}
+	for _, c := range touchCases {
+		f.Add(c.src)
+	}
 	f.Add("int a; int main(void) { a = 1 / (a - a); return 0; }")
 	f.Add("int main(void) { printf(\"%d %d\\n\", 1); return 0; }")
 

@@ -9,10 +9,13 @@ import (
 )
 
 // devTouch tracks the min/max element index touched in one device buffer.
-// Entries are matched by array pointer on the hot path (the same buffer is
-// hit millions of times per kernel) and merged by name on the cold path, so
-// a same-named buffer rebound mid-region still widens one range, exactly
-// like the tree-walker's name-keyed map.
+// Inside a region the machine keeps one per global (touchSlots, indexed
+// by Access.GIdx and VecSite.A), so the hot path is a pointer compare and
+// a min/max update. Every buffer global gi reaches on the device is named
+// after it (AllocDevBuf names each buffer for its global, and global
+// names are unique), so a slot is exactly the tree-walker's name-keyed
+// range: when a transfer reallocates the buffer mid-region, the slot is
+// rebound to the new one and keeps widening.
 type devTouch struct {
 	arr    *interp.Array
 	lo, hi int64
@@ -67,8 +70,8 @@ type machine struct {
 	parallel, vec bool
 	onDevice      bool
 	tracking      bool // inside an offload region: record touched ranges
-	devTouched    []devTouch
-	devLast       int // devTouched entry hit last, checked before the scan
+	// touchSlots holds each global's touched range in the open region.
+	touchSlots []devTouch
 	// Per-global caches, indexed like mod.Globals and valid only while
 	// onDevice. Device-buffer bindings cannot change inside a region
 	// (OpDevChk forbids rebinds; transfers clear the caches), so one
@@ -96,12 +99,71 @@ type machine struct {
 	pfVals []interface{}
 
 	// Columnar tier state: eng is the running Engine (its scalar flag
-	// turns OpVecLoop into a no-op); col is the column scratch, taken from
-	// colFree at the run's first vector loop and returned when Run exits;
-	// vecRuns counts the batches the tier ran.
+	// turns OpVecLoop into a no-op); col is the column scratch, kept with
+	// the pooled machine; vecRuns counts the batches the tier ran.
 	eng     *Engine
-	col     *colScratch
+	col     colScratch
 	vecRuns int64
+}
+
+// machFree is the process-wide free list of machines. Unlike a sync.Pool
+// it survives garbage collection, which on a serving process runs between
+// most requests. Its capacity bounds what it keeps, and RSS with it: 4
+// machines cover one running program per core on a small host. A pooled
+// machine keeps its frame stacks, global handles, device caches, touch
+// slots and column scratch, so a warm request reuses them instead of
+// allocating them. release drops every array, program and code reference
+// first, so a pooled machine pins no request's data.
+var machFree = make(chan *machine, 4)
+
+// maxPooledFrames bounds the frame stack a pooled machine keeps: a run
+// that recursed deeper returns its machine to the garbage collector.
+const maxPooledFrames = 64
+
+// takeMachine returns a free machine, or a new one.
+func takeMachine() *machine {
+	select {
+	case m := <-machFree:
+		return m
+	default:
+		return new(machine)
+	}
+}
+
+// release clears the run's state and returns m to machFree. Frames and
+// tables are resliced per run, so their references are cleared up to
+// capacity.
+func (m *machine) release() {
+	if len(m.frames) > maxPooledFrames {
+		return
+	}
+	for i := range m.frames {
+		fr := &m.frames[i]
+		clear(fr.r[:cap(fr.r)])
+		clear(fr.rs[:cap(fr.rs)])
+	}
+	clear(m.globals[:cap(m.globals)])
+	clear(m.devArrs[:cap(m.devArrs)])
+	clear(m.devCells[:cap(m.devCells)])
+	clear(m.touchSlots[:cap(m.touchSlots)])
+	clear(m.regions[:cap(m.regions)])
+	clear(m.pfVals)
+	clear(m.col.regs)
+	clear(m.col.arrs)
+	*m = machine{
+		globals:    m.globals[:0],
+		touchSlots: m.touchSlots[:0],
+		devArrs:    m.devArrs[:0],
+		devCells:   m.devCells[:0],
+		regions:    m.regions[:0],
+		frames:     m.frames,
+		pfVals:     m.pfVals,
+		col:        m.col,
+	}
+	select {
+	case machFree <- m:
+	default:
+	}
 }
 
 // frame holds one nesting level's locals and eval stacks.
@@ -121,28 +183,12 @@ func (m *machine) frame(nf, nr, nst, nrs int) *frame {
 		m.frames = append(m.frames, frame{})
 	}
 	fr := &m.frames[m.frameIdx]
-	if cap(fr.f) < nf {
-		fr.f = make([]float64, nf)
-	} else {
-		fr.f = fr.f[:nf]
-		clear(fr.f)
-	}
-	if cap(fr.r) < nr {
-		fr.r = make([]*interp.Array, nr)
-	} else {
-		fr.r = fr.r[:nr]
-		clear(fr.r)
-	}
-	if cap(fr.st) < nst {
-		fr.st = make([]float64, nst)
-	} else {
-		fr.st = fr.st[:nst]
-	}
-	if cap(fr.rs) < nrs {
-		fr.rs = make([]*interp.Array, nrs)
-	} else {
-		fr.rs = fr.rs[:nrs]
-	}
+	fr.f = resized(fr.f, nf)
+	clear(fr.f)
+	fr.r = resized(fr.r, nr)
+	clear(fr.r)
+	fr.st = resized(fr.st, nst)
+	fr.rs = resized(fr.rs, nrs)
 	return fr
 }
 
@@ -172,39 +218,41 @@ func (m *machine) spendIteration(pos minic.Pos) {
 	}
 }
 
-func (m *machine) touchDev(a *interp.Array, idx int64) {
-	ts := m.devTouched
-	k := m.devLast
-	if k >= len(ts) || ts[k].arr != a {
-		k = m.findTouch(a)
-		if k < 0 {
-			m.devLast = len(ts)
-			m.devTouched = append(ts, devTouch{arr: a, lo: idx, hi: idx})
-			return
-		}
-		m.devLast = k
+// widen adds idx to t's range when t holds a, and reports whether it
+// did. It is the inlined hit path of a device touch; the dispatch loop
+// calls touchMiss when it fails.
+func (t *devTouch) widen(a *interp.Array, idx int64) bool {
+	if t.arr != a {
+		return false
 	}
-	ts[k].lo = min(ts[k].lo, idx)
-	ts[k].hi = max(ts[k].hi, idx)
+	t.lo = min(t.lo, idx)
+	t.hi = max(t.hi, idx)
+	return true
 }
 
-// findTouch returns the devTouched entry for a, matched by pointer, else
-// by name (rebinding the entry to a), else -1. Names are unique in
-// devTouched, so touchDev may check the entry it hit last first.
-func (m *machine) findTouch(a *interp.Array) int {
-	ts := m.devTouched
-	for k := range ts {
-		if ts[k].arr == a {
-			return k
-		}
+// touch records an access to element idx of a, which global gi resolved
+// to, in the open offload region.
+func (m *machine) touch(gi int32, a *interp.Array, idx int64) {
+	if !m.touchSlots[gi].widen(a, idx) {
+		m.touchMiss(gi, a, idx)
 	}
-	for k := range ts {
-		if ts[k].arr.Name == a.Name {
-			ts[k].arr = a
-			return k
-		}
+}
+
+// touchMiss claims global gi's empty slot for a, or rebinds the slot to
+// a when a transfer has replaced the buffer it held: both are named after
+// global gi, so their ranges are one. It runs once per global per
+// region, so it is kept out of line, out of the dispatch loop.
+//
+//go:noinline
+func (m *machine) touchMiss(gi int32, a *interp.Array, idx int64) {
+	s := &m.touchSlots[gi]
+	if s.arr == nil {
+		*s = devTouch{arr: a, lo: idx, hi: idx}
+		return
 	}
-	return -1
+	s.arr = a
+	s.lo = min(s.lo, idx)
+	s.hi = max(s.hi, idx)
 }
 
 // elemSlot is the slow path of an element access: member offsets, and
@@ -222,22 +270,44 @@ func (m *machine) elemSlot(ch *Chunk, acc *Access, a *interp.Array, i int64) int
 	return int(i)*a.Fields + off
 }
 
-// resetDevCaches sizes (or clears) the per-global device caches at region
-// entry; clearDevCaches invalidates them after a mid-region transfer.
+// resetDevCaches sizes and clears the per-global device caches and touch
+// slots at region entry; clearDevCaches invalidates the caches (not the
+// slots) after a mid-region transfer.
 func (m *machine) resetDevCaches() {
-	if m.devArrs == nil {
-		n := len(m.mod.Globals)
-		m.devArrs = make([]*interp.Array, n)
-		m.devCells = make([]devCell, n)
-		return
-	}
+	n := len(m.mod.Globals)
+	m.devArrs = resized(m.devArrs, n)
+	m.devCells = resized(m.devCells, n)
+	m.touchSlots = resized(m.touchSlots, n)
+	clear(m.touchSlots)
 	m.clearDevCaches()
 }
 
 func (m *machine) clearDevCaches() {
-	for i := range m.devArrs {
-		m.devArrs[i] = nil
-		m.devCells[i] = devCell{}
+	clear(m.devArrs)
+	clear(m.devCells)
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. Entries up to n keep their old contents.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// charge adds one work triple to the current bucket.
+func (m *machine) charge(w *WorkTriple) {
+	b := m.bucket
+	b.Flops += w.W
+	b.Bytes += w.B
+	b.IrrBytes += w.Irr
+}
+
+// chargeBranch adds a branch's carried block charge (Instr.W), if any.
+func (m *machine) chargeBranch(ch *Chunk, w uint16) {
+	if w != 0 {
+		m.charge(&ch.Works[w-1])
 	}
 }
 
@@ -260,18 +330,25 @@ func cmpHolds(kind int32, a, b float64) bool {
 }
 
 // garr resolves a global array reference with the same device-aware
-// semantics and fault messages as OpRefG.
+// semantics and fault messages as OpRefG. The on-device cache hit inlines;
+// garrSlow resolves everything else.
 func (m *machine) garr(ch *Chunk, gi, posIdx int32) *interp.Array {
 	if m.onDevice {
-		a := m.devArrs[gi]
-		if a == nil {
-			g := m.mod.Globals[gi]
-			a = m.p.DevBuf(g.Name)
-			if a == nil {
-				m.throwf(ch.Positions[posIdx], "array %s is not present on the device (missing in/nocopy clause?)", g.Name)
-			}
-			m.devArrs[gi] = a
+		if a := m.devArrs[gi]; a != nil {
+			return a
 		}
+	}
+	return m.garrSlow(ch, gi, posIdx)
+}
+
+func (m *machine) garrSlow(ch *Chunk, gi, posIdx int32) *interp.Array {
+	if m.onDevice {
+		g := m.mod.Globals[gi]
+		a := m.p.DevBuf(g.Name)
+		if a == nil {
+			m.throwf(ch.Positions[posIdx], "array %s is not present on the device (missing in/nocopy clause?)", g.Name)
+		}
+		m.devArrs[gi] = a
 		return a
 	}
 	a := m.globals[gi].Arr()
@@ -470,13 +547,16 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			st[sp-1] = math.Trunc(st[sp-1])
 
 		case OpJmp:
+			m.chargeBranch(ch, in.W)
 			ip = int(in.A) - 1
 		case OpJz:
+			m.chargeBranch(ch, in.W)
 			sp--
 			if st[sp] == 0 {
 				ip = int(in.A) - 1
 			}
 		case OpJnz:
+			m.chargeBranch(ch, in.W)
 			sp--
 			if st[sp] != 0 {
 				ip = int(in.A) - 1
@@ -495,10 +575,7 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			}
 
 		case OpWork:
-			w := ch.Works[in.A]
-			m.bucket.Flops += w.W
-			m.bucket.Bytes += w.B
-			m.bucket.IrrBytes += w.Irr
+			m.charge(&ch.Works[in.A])
 
 		case OpGuardW:
 			if f[in.A] > maxLoopIters {
@@ -607,8 +684,8 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if acc.IsGlobal && m.tracking {
-				m.touchDev(a, i)
+			if acc.IsGlobal && m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			st[sp] = a.Data[k]
 			sp++
@@ -623,8 +700,8 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if acc.IsGlobal && m.tracking {
-				m.touchDev(a, i)
+			if acc.IsGlobal && m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			a.Data[k] = st[sp]
 
@@ -681,16 +758,19 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			sp++
 
 		case OpCmpJmp:
+			m.chargeBranch(ch, in.W)
 			sp -= 2
 			if cmpHolds(in.B>>1, st[sp], st[sp+1]) == (in.B&1 != 0) {
 				ip = int(in.A) - 1
 			}
 		case OpCmpJmpC:
+			m.chargeBranch(ch, in.W)
 			sp--
 			if cmpHolds((in.B>>1)&7, st[sp], ch.Consts[in.B>>4]) == (in.B&1 != 0) {
 				ip = int(in.A) - 1
 			}
 		case OpCmpJmpG:
+			m.chargeBranch(ch, in.W)
 			sp--
 			if cmpHolds((in.B>>1)&7, st[sp], m.gval(in.B>>4)) == (in.B&1 != 0) {
 				ip = int(in.A) - 1
@@ -708,8 +788,8 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if acc.IsGlobal && m.tracking {
-				m.touchDev(a, i)
+			if acc.IsGlobal && m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			st[sp] = a.Data[k]
 			sp++
@@ -763,8 +843,8 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if acc.IsGlobal && m.tracking {
-				m.touchDev(a, i)
+			if acc.IsGlobal && m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			a.Data[k] = st[sp]
 		case OpLoadIdxG:
@@ -775,8 +855,8 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if m.tracking {
-				m.touchDev(a, i)
+			if m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			st[sp] = a.Data[k]
 			sp++
@@ -789,12 +869,13 @@ func (m *machine) exec(ch *Chunk, code []Instr, f []float64, r []*interp.Array, 
 			if a.Fields != 1 || uint64(i) >= uint64(len(a.Data)) {
 				k = m.elemSlot(ch, acc, a, i)
 			}
-			if m.tracking {
-				m.touchDev(a, i)
+			if m.tracking && !m.touchSlots[acc.GIdx].widen(a, i) {
+				m.touchMiss(acc.GIdx, a, i)
 			}
 			a.Data[k] = st[sp]
 
 		case OpIncJmp:
+			m.chargeBranch(ch, in.W)
 			f[in.B>>16] += float64(in.B&0xffff - incBias)
 			ip = int(in.A) - 1
 		case OpBuiltin2L:

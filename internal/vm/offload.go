@@ -22,7 +22,6 @@ func (m *machine) offEnter(ch *Chunk, d *OffloadDesc, f []float64, r []*interp.A
 	m.work = &reg.kernelWork
 	m.onDevice = true
 	m.tracking = true
-	m.devTouched = m.devTouched[:0]
 	m.resetDevCaches()
 	m.refreshBucket()
 }
@@ -35,20 +34,21 @@ func (m *machine) offExit(f []float64, r []*interp.Array) {
 	d := reg.desc
 
 	var touched []interp.BufferRange
-	for _, t := range m.devTouched {
-		name := t.arr.Name
+	for _, t := range m.touchSlots {
+		if t.arr == nil {
+			continue
+		}
 		elemBytes := int64(8)
-		if a := m.p.DevBuf(name); a != nil {
+		if a := m.p.DevBuf(t.arr.Name); a != nil {
 			elemBytes = a.ElemBytes
 		}
 		touched = append(touched, interp.BufferRange{
-			Name:      name,
+			Name:      t.arr.Name,
 			StartByte: t.lo * elemBytes,
 			EndByte:   (t.hi + 1) * elemBytes,
 		})
 	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i].Name < touched[j].Name })
-	m.devTouched = m.devTouched[:0]
 	m.tracking = false
 	m.onDevice = false
 	m.work = reg.savedWork

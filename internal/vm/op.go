@@ -71,7 +71,9 @@ const (
 	// numerator; OpChkZ preserves that order.
 	OpChkZ
 
-	// Cost model: charge Works[A] to the current bucket.
+	// Cost model: charge Works[A] to the current bucket. mergeWork moves
+	// a block's charge onto the block's terminating branch where it can
+	// (Instr.W), so OpWork survives only in blocks that end otherwise.
 	OpWork
 
 	// Loop guards. A = hidden counter slot, B = pos index.
@@ -234,10 +236,24 @@ func (o Op) String() string {
 	return "Op?"
 }
 
-// Instr is one fixed-width bytecode instruction.
+// Instr is one fixed-width bytecode instruction (12 bytes). W rides in
+// the padding after Op: on a branch (see isBranch) it is 1 + the
+// Works index the branch charges to the current bucket before it
+// branches, and 0 means no charge. Every other opcode carries W = 0.
 type Instr struct {
 	Op   Op
+	W    uint16
 	A, B int32
+}
+
+// isBranch reports whether op jumps to the instruction index in A. These
+// are the only ops that may carry a folded block charge in Instr.W.
+func isBranch(op Op) bool {
+	switch op {
+	case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp:
+		return true
+	}
+	return false
 }
 
 // WorkTriple is one statically computed cost charge (flops, bytes,

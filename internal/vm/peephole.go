@@ -227,24 +227,19 @@ func fusePair(ch *Chunk, a, b Instr) (Instr, bool) {
 }
 
 // peepholeOnce performs one fusion sweep; it reports whether any pair fused.
+// A fused branch keeps the charge its branch half carried (Instr.W): only
+// branches carry one, and a branch is only ever the second of a pair.
 func peepholeOnce(ch *Chunk) bool {
 	code := ch.Code
 	n := len(code)
-	isTarget := make([]bool, n+1)
-	for _, in := range code {
-		switch in.Op {
-		case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp:
-			if in.A >= 0 && int(in.A) <= n {
-				isTarget[in.A] = true
-			}
-		}
-	}
+	isTarget := jumpTargets(code)
 	out := make([]Instr, 0, n)
 	remap := make([]int32, n+1)
 	for i := 0; i < n; {
 		remap[i] = int32(len(out))
 		if i+1 < n && !isTarget[i+1] {
 			if f, ok := fusePair(ch, code[i], code[i+1]); ok {
+				f.W = code[i+1].W
 				remap[i+1] = int32(len(out))
 				out = append(out, f)
 				i += 2
@@ -255,18 +250,33 @@ func peepholeOnce(ch *Chunk) bool {
 		i++
 	}
 	remap[n] = int32(len(out))
-	for j := range out {
-		switch out[j].Op {
-		case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp:
-			// Out-of-range targets are left for the verifier to reject.
-			if t := out[j].A; t >= 0 && int(t) <= n {
-				out[j].A = remap[t]
-			}
-		}
-	}
+	remapTargets(out, remap, n)
 	shrunk := len(out) < n
 	ch.Code = out
 	return shrunk
+}
+
+// jumpTargets marks every in-range branch target of code.
+func jumpTargets(code []Instr) []bool {
+	n := len(code)
+	isTarget := make([]bool, n+1)
+	for _, in := range code {
+		if isBranch(in.Op) && in.A >= 0 && int(in.A) <= n {
+			isTarget[in.A] = true
+		}
+	}
+	return isTarget
+}
+
+// remapTargets rewrites the branch targets of out through remap, the map
+// from the n old instruction indices (and n itself) to the new ones.
+// Out-of-range targets are left for the verifier to reject.
+func remapTargets(out []Instr, remap []int32, n int) {
+	for j := range out {
+		if t := out[j].A; isBranch(out[j].Op) && t >= 0 && int(t) <= n {
+			out[j].A = remap[t]
+		}
+	}
 }
 
 // peephole rewrites ch.Code in place, iterating until no pair fuses.
@@ -286,51 +296,70 @@ func peephole(ch *Chunk) {
 // pending bucket is dropped identically in both engines.
 func workBoundary(op Op) bool {
 	switch op {
-	case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp,
-		OpCall, OpParEnter, OpParExit, OpOffEnter, OpOffExit,
+	case OpCall, OpParEnter, OpParExit, OpOffEnter, OpOffExit,
 		OpTransfer, OpWait, OpRet, OpRetV, OpRetL:
 		return true
 	}
-	return false
+	return isBranch(op)
 }
 
 // mergeWork folds every OpWork in a straight-line block into the block's
 // first, summing the charge triples. The bucket only accumulates between
-// flush points, so charge order within a block is unobservable.
+// flush points, so charge order within a block is unobservable. A block
+// that ends on a branch goes one step further: its charge moves onto the
+// branch (Instr.W) and its OpWork disappears, so the block pays no
+// dispatch for its charge. A jump target starts a new block, so a branch
+// that is one never takes the charge of the block falling into it; and
+// OpVecLoop, which charges the bucket itself, ends a block without
+// folding. A charge index that does not fit in W keeps its OpWork. The sweep also drops OpNop, the placeholder of a
+// statement that charges nothing.
 func mergeWork(ch *Chunk) {
 	code := ch.Code
 	n := len(code)
-	isTarget := make([]bool, n+1)
-	for _, in := range code {
-		switch in.Op {
-		case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp:
-			if in.A >= 0 && int(in.A) <= n {
-				isTarget[in.A] = true
-			}
-		}
-	}
+	isTarget := jumpTargets(code)
 	out := make([]Instr, 0, n)
 	remap := make([]int32, n+1)
-	anchor := -1 // index in out of the block's first OpWork
+	anchor := -1    // index in out of the block's first OpWork
+	anchorSrc := -1 // its index in code
 	var sum WorkTriple
 	merged := false
-	flushAnchor := func() {
-		if anchor >= 0 && merged {
+	// endBlock closes the block whose last instruction is code[end]; fold
+	// moves its charge onto out's last instruction, the block's branch.
+	endBlock := func(end int, fold bool) {
+		if anchor < 0 {
+			return
+		}
+		k := out[anchor].A
+		if merged {
 			ch.Works = append(ch.Works, sum)
-			out[anchor].A = int32(len(ch.Works) - 1)
+			k = int32(len(ch.Works) - 1)
+		}
+		if fold && k < math.MaxUint16 {
+			last := len(out) - 1
+			out[last].W = uint16(k + 1)
+			copy(out[anchor:], out[anchor+1:])
+			out = out[:last]
+			for j := anchorSrc + 1; j <= end; j++ {
+				remap[j]--
+			}
+		} else {
+			out[anchor].A = k
 		}
 		anchor = -1
 		merged = false
 	}
 	for i := 0; i < n; i++ {
 		if isTarget[i] {
-			flushAnchor()
+			endBlock(i-1, false)
 		}
 		remap[i] = int32(len(out))
 		in := code[i]
+		if in.Op == OpNop {
+			continue
+		}
 		if in.Op == OpWork && int(in.A) < len(ch.Works) {
 			if anchor < 0 {
-				anchor = len(out)
+				anchor, anchorSrc = len(out), i
 				sum = ch.Works[in.A]
 				out = append(out, in)
 			} else {
@@ -343,19 +372,12 @@ func mergeWork(ch *Chunk) {
 			continue
 		}
 		out = append(out, in)
-		if workBoundary(in.Op) {
-			flushAnchor()
+		if workBoundary(in.Op) || in.Op == OpVecLoop {
+			endBlock(i, isBranch(in.Op))
 		}
 	}
-	flushAnchor()
+	endBlock(n-1, false)
 	remap[n] = int32(len(out))
-	for j := range out {
-		switch out[j].Op {
-		case OpJmp, OpJz, OpJnz, OpCmpJmp, OpCmpJmpC, OpCmpJmpG, OpIncJmp:
-			if t := out[j].A; t >= 0 && int(t) <= n {
-				out[j].A = remap[t]
-			}
-		}
-	}
+	remapTargets(out, remap, n)
 	ch.Code = out
 }

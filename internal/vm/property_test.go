@@ -138,4 +138,32 @@ func TestVerifierRejectsCorruption(t *testing.T) {
 	}); err == nil {
 		t.Error("out-of-range local slot not rejected")
 	}
+
+	// Folded charges: W belongs on branches only, and names a Works entry.
+	branch, other := -1, -1
+	for i, in := range ch.Code {
+		if isBranchOp(in.Op) && branch < 0 {
+			branch = i
+		} else if !isBranchOp(in.Op) && other < 0 {
+			other = i
+		}
+	}
+	if branch < 0 || other < 0 || len(ch.Works) == 0 {
+		t.Fatalf("chunk lacks a branch, a non-branch or a work entry:\n%s", vm.Disassemble(ch))
+	}
+	if err := corrupt(func(c *vm.Chunk) {
+		c.Code[other].W = 1
+	}); err == nil {
+		t.Errorf("charge on non-branch %s not rejected", ch.Code[other].Op)
+	}
+	if err := corrupt(func(c *vm.Chunk) {
+		c.Code[branch].W = uint16(len(c.Works) + 1)
+	}); err == nil {
+		t.Error("out-of-range branch charge not rejected")
+	}
+	if err := corrupt(func(c *vm.Chunk) {
+		c.Code[branch].W = uint16(len(c.Works))
+	}); err != nil {
+		t.Errorf("in-range branch charge rejected: %v", err)
+	}
 }
