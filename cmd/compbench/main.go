@@ -6,14 +6,13 @@
 //	compbench                 # all figures and tables
 //	compbench -only fig12     # one figure (fig1, fig4, fig10..fig15, table2, table3)
 //	compbench -ablations      # block-size sweep and design ablations
-//	compbench -streams 4      # multi-stream scheduler + autotuner report
+//	compbench -streams 4      # multi-stream scheduler + block climb vs sweep report
 //	compbench -serve          # serving-layer load report (steady + overload)
 //	compbench -fleet          # sharded fleet scenario table (steady, overload, device-loss)
 //	compbench -scenarios      # built-in scenario table: admitted/rejected/deadline-miss/fault-recovery
 //	compbench -tune           # cost-model tuner vs exhaustive oracle, cold/warm/held-out
 //	compbench -vmbench        # bytecode VM vs tree-walker on every workload
 //	compbench -columnar       # columnar batch tier vs scalar VM
-//	compbench -sweep          # pick block counts by exhaustive sweep (oracle)
 //	compbench -passes merge,streaming  # per-pass applied/skipped table for a pipeline spec
 //
 // Output files. Every report mode also writes a committed JSON artifact
@@ -46,7 +45,6 @@ func main() {
 	streams := flag.Int("streams", 0, "run the multi-stream scheduler report with this many streams (0 = off)")
 	requests := flag.Int("requests", 0, "concurrent requests per workload for -streams (0 = streams)")
 	streamsOut := flag.String("streams-out", "BENCH_streams.json", "write the -streams report as JSON to this file (\"-\" = stdout only)")
-	sweep := flag.Bool("sweep", false, "use the exhaustive block-count sweep instead of the autotuner")
 	fleetMode := flag.Bool("fleet", false, "replay the deterministic fleet scenario table (steady, overload, device-loss) against a sharded multi-device fleet")
 	fleetHosts := flag.Int("fleet-hosts", 2, "simulated hosts for -fleet")
 	fleetDevices := flag.Int("fleet-devices", 2, "devices per host for -fleet")
@@ -76,7 +74,6 @@ func main() {
 	}
 
 	r := bench.NewRunner()
-	r.UseSweep = *sweep
 	if *traceDir != "" {
 		r.SetTraceDir(*traceDir)
 	}

@@ -37,7 +37,6 @@ import (
 	"comp/internal/sim/engine"
 	"comp/internal/sim/fault"
 	"comp/internal/sim/metrics"
-	"comp/internal/transform"
 	tunepkg "comp/internal/tune"
 	"comp/internal/workloads"
 )
@@ -206,7 +205,7 @@ func tuneSource(src string, cfg runtime.Config, modelPath string) string {
 }
 
 // resolveBlocks parses the -blocks flag. "auto" tunes by measurement: one
-// unoptimized run seeds the §III-B model, then transform.AutoTuner probes
+// unoptimized run seeds the §III-B model, then tune.ClimbBlocks probes
 // optimized runs at candidate counts and keeps the fastest.
 func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 	if flagVal != "auto" {
@@ -242,14 +241,13 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	seed := core.ProfileFromStats(base.Stats, cfg.MIC.LaunchOverhead).Blocks()
-	var tuner transform.AutoTuner
-	tuned, err := tuner.Tune(flag.Arg(0), seed, measure)
+	bl := tunepkg.BaselineFromStats(base.Stats, cfg.MIC.LaunchOverhead)
+	tuned, err := tunepkg.ClimbBlocks(bl, measure)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Fprintf(os.Stderr, "tuned blocks: %d (model seed %d, %d probes, best %v)\n",
-		tuned.Blocks, seed, tuned.Probes, tuned.Time)
+		tuned.Blocks, bl.Blocks(), tuned.Probes, tuned.Time)
 	return tuned.Blocks, nil
 }
 

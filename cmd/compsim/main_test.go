@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"comp/internal/cli"
+	"comp/internal/runtime"
+	"comp/internal/tune"
 	"comp/internal/vm"
 )
 
@@ -31,5 +35,25 @@ func TestExecFlagTable(t *testing.T) {
 		if tc.code != 0 && (!strings.HasPrefix(out, "compsim: unknown exec mode") || strings.Count(out, "\n") != 1) {
 			t.Errorf("-exec %q: want a one-line \"compsim: unknown exec mode\" error, got %q", tc.mode, out)
 		}
+	}
+}
+
+// TestResolveBlocks pins the -blocks flag: an integer passes through,
+// "auto" climbs to a rung of the tuning ladder, anything else is a usage
+// error.
+func TestResolveBlocks(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/blackscholes.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, cfg := string(raw), runtime.DefaultConfig()
+	if n, err := resolveBlocks("auto", src, cfg); err != nil || !slices.Contains(tune.Ladder(), n) {
+		t.Errorf("resolveBlocks(auto) = %d, %v; want a rung of %v", n, err, tune.Ladder())
+	}
+	if n, err := resolveBlocks("7", src, cfg); err != nil || n != 7 {
+		t.Errorf("resolveBlocks(7) = %d, %v; want 7", n, err)
+	}
+	if _, err := resolveBlocks("x", src, cfg); err == nil || !strings.Contains(err.Error(), `must be an integer or "auto"`) {
+		t.Errorf("resolveBlocks(x) error = %v, want the integer-or-auto usage error", err)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"log"
 
 	"comp"
-	"comp/internal/core"
 	"comp/internal/sim/machine"
 	"comp/internal/transform"
+	"comp/internal/tune"
 )
 
 const src = `
@@ -50,11 +50,11 @@ func main() {
 		log.Fatal(err)
 	}
 	k := machine.XeonPhi().LaunchOverhead
-	prof := core.ProfileFromStats(naive.Stats, k)
+	prof := tune.BaselineFromStats(naive.Stats, k)
 	fmt.Printf("=== block-count sweep (D=%v C=%v K=%v, model N*=%d) ===\n",
-		prof.TransferTime, prof.ComputeTime, k, prof.Blocks())
+		prof.Transfer, prof.Compute, k, prof.Blocks())
 	fmt.Printf("%6s %12s %12s\n", "N", "measured", "model")
-	fmt.Printf("%6d %12v %12s   (unoptimized)\n", 1, naive.Stats.Time, transform.ModelTime(prof.TransferTime, prof.ComputeTime, k, 1))
+	fmt.Printf("%6d %12v %12s   (unoptimized)\n", 1, naive.Stats.Time, transform.ModelTime(prof.Transfer, prof.Compute, k, 1))
 
 	for _, n := range []int{2, 5, 10, 20, 40, 50} {
 		r, err := comp.Optimize(src, comp.Options{Streaming: true, ReduceMemory: true, Persistent: true, Blocks: n})
@@ -65,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		model := transform.ModelTime(prof.TransferTime, prof.ComputeTime, k, n)
+		model := transform.ModelTime(prof.Transfer, prof.Compute, k, n)
 		fmt.Printf("%6d %12v %12v\n", n, run.Stats.Time, model)
 	}
 }

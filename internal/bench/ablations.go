@@ -9,6 +9,7 @@ import (
 	"comp/internal/sim/machine"
 	"comp/internal/sim/pcie"
 	"comp/internal/transform"
+	"comp/internal/tune"
 	"comp/internal/workloads"
 )
 
@@ -37,20 +38,20 @@ func (r *Runner) BlockSizeSweep() (*Figure, error) {
 		return nil, err
 	}
 	k := machine.XeonPhi().LaunchOverhead
-	prof := core.ProfileFromStats(naive.Stats, k)
-	for _, n := range SweepBlocks {
+	prof := tune.BaselineFromStats(naive.Stats, k)
+	for _, n := range tune.Ladder() {
 		res, err := r.run(b, workloads.MICOptimized, streamingOptions(b, n))
 		if err != nil {
 			return nil, err
 		}
-		model := transform.ModelTime(prof.TransferTime, prof.ComputeTime, k, n)
+		model := transform.ModelTime(prof.Transfer, prof.Compute, k, n)
 		f.AddRow(fmt.Sprintf("N=%d", n), map[string]Cell{
 			"time-us":  {Value: res.Stats.Time.Seconds() * 1e6},
 			"model-us": {Value: model.Seconds() * 1e6},
 		})
 	}
 	f.Notes = append(f.Notes,
-		fmt.Sprintf("model optimum N* = %d (D=%v C=%v K=%v)", prof.Blocks(), prof.TransferTime, prof.ComputeTime, k),
+		fmt.Sprintf("model optimum N* = %d (D=%v C=%v K=%v)", prof.Blocks(), prof.Transfer, prof.Compute, k),
 		"the model excludes per-DMA setup and host time, so measured times sit above it")
 	return f, nil
 }
@@ -182,17 +183,17 @@ func (r *Runner) StreamingProfitability() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof := core.ProfileFromStats(naive.Stats, k)
+		prof := tune.BaselineFromStats(naive.Stats, k)
 		n := prof.Blocks()
-		t1 := transform.ModelTime(prof.TransferTime, prof.ComputeTime, k, 1)
-		tn := transform.ModelTime(prof.TransferTime, prof.ComputeTime, k, n)
+		t1 := transform.ModelTime(prof.Transfer, prof.Compute, k, 1)
+		tn := transform.ModelTime(prof.Transfer, prof.Compute, k, n)
 		gain := 0.0
 		if tn > 0 {
 			gain = float64(t1) / float64(tn)
 		}
 		f.AddRow(b.Name, map[string]Cell{
-			"d-us":      {Value: prof.TransferTime.Seconds() * 1e6},
-			"c-us":      {Value: prof.ComputeTime.Seconds() * 1e6},
+			"d-us":      {Value: prof.Transfer.Seconds() * 1e6},
+			"c-us":      {Value: prof.Compute.Seconds() * 1e6},
 			"n-star":    {Value: float64(n)},
 			"pred-gain": {Value: gain},
 		})

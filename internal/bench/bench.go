@@ -9,9 +9,10 @@
 //
 // Methodology mirrors the paper: each optimization is measured in
 // isolation against the unoptimized MIC version (Figures 12–15); the
-// combined optimizations are measured for Figures 10/11; streaming block
-// counts are swept (the paper tries N in {10, 20, 40, 50}) and the best
-// is reported.
+// combined optimizations are measured for Figures 10/11. The paper sweeps
+// streaming block counts N in {10, 20, 40, 50} and reports the best; here
+// tune.ClimbBlocks climbs a widened ladder by measurement, and
+// SweepStreaming keeps the exhaustive sweep as its oracle.
 package bench
 
 import (
@@ -25,7 +26,7 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
 	"comp/internal/sim/metrics"
-	"comp/internal/transform"
+	"comp/internal/tune"
 	"comp/internal/workloads"
 )
 
@@ -114,21 +115,11 @@ func (f *Figure) Format() string {
 	return b.String()
 }
 
-// SweepBlocks is the block-count sweep used for streaming measurements;
-// the paper tries {10, 20, 40, 50}, we add smaller counts because the
-// scaled workloads have smaller D/K ratios.
-var SweepBlocks = []int{2, 4, 8, 10, 20, 40, 50}
-
 // Runner executes and caches benchmark runs.
 type Runner struct {
 	results  map[string]runtime.Result
 	shared   map[string]workloads.SharedResult
 	traceDir string
-	// UseSweep restores the exhaustive block-count sweep in bestStreaming;
-	// by default the measured autotuner picks the count. The sweep is kept
-	// as the oracle the autotuner is validated against.
-	UseSweep bool
-	tuner    transform.AutoTuner
 }
 
 // NewRunner creates an empty cache.
@@ -136,9 +127,6 @@ func NewRunner() *Runner {
 	return &Runner{
 		results: map[string]runtime.Result{},
 		shared:  map[string]workloads.SharedResult{},
-		// The tuner walks the same ladder the sweep measures, so the oracle
-		// comparison is apples-to-apples.
-		tuner: transform.AutoTuner{Ladder: SweepBlocks},
 	}
 }
 
@@ -245,13 +233,9 @@ func (r *Runner) streamingBaseline(b *workloads.Benchmark) (runtime.Result, erro
 	return r.run(b, workloads.MICNaive, core.Options{})
 }
 
-// bestStreaming returns the fastest streamed run and its block count —
-// found by the measured autotuner (TuneStreaming), or by the exhaustive
-// sweep oracle when UseSweep is set.
+// bestStreaming returns the streamed run at the block count TuneStreaming
+// picks, and that count.
 func (r *Runner) bestStreaming(b *workloads.Benchmark) (runtime.Result, int, error) {
-	if r.UseSweep {
-		return r.SweepStreaming(b)
-	}
 	tr, err := r.TuneStreaming(b)
 	if err != nil {
 		return runtime.Result{}, 0, err
@@ -263,13 +247,13 @@ func (r *Runner) bestStreaming(b *workloads.Benchmark) (runtime.Result, int, err
 	return res, tr.Blocks, nil
 }
 
-// SweepStreaming tries every block count in SweepBlocks and returns the
-// fastest streamed run and its count. It is the oracle the autotuner's
+// SweepStreaming tries every block count on tune.Ladder and returns the
+// fastest streamed run and its count. It is the oracle the climb's
 // choices are measured against.
 func (r *Runner) SweepStreaming(b *workloads.Benchmark) (runtime.Result, int, error) {
 	var best runtime.Result
 	bestN := 0
-	for _, n := range SweepBlocks {
+	for _, n := range tune.Ladder() {
 		res, err := r.run(b, workloads.MICOptimized, streamingOptions(b, n))
 		if err != nil {
 			return runtime.Result{}, 0, err
@@ -281,21 +265,17 @@ func (r *Runner) SweepStreaming(b *workloads.Benchmark) (runtime.Result, int, er
 	return best, bestN, nil
 }
 
-// TuneStreaming runs the online autotuner for a benchmark's streaming
-// block count. The search seeds from the §III-B analytic model evaluated
-// on the benchmark's streaming baseline, probes candidate counts by
-// simulated execution (memoized through the Runner's cache), and converges
-// within transform.DefaultMaxProbes runs. Results are cached per
-// (benchmark, machine) key, so repeated calls tune once.
-func (r *Runner) TuneStreaming(b *workloads.Benchmark) (transform.TuneResult, error) {
+// TuneStreaming picks a benchmark's streaming block count with
+// tune.ClimbBlocks, seeded from the §III-B model evaluated on the
+// benchmark's streaming baseline. Every probe runs through the Runner's
+// cache, so a repeat climb runs no simulation.
+func (r *Runner) TuneStreaming(b *workloads.Benchmark) (tune.BlockChoice, error) {
 	base, err := r.streamingBaseline(b)
 	if err != nil {
-		return transform.TuneResult{}, err
+		return tune.BlockChoice{}, err
 	}
-	cfg := runtime.DefaultConfig()
-	seed := core.ProfileFromStats(base.Stats, cfg.MIC.LaunchOverhead).Blocks()
-	key := fmt.Sprintf("%s|%s|%s", b.Name, cfg.MIC.Name, cfg.CPU.Name)
-	return r.tuner.Tune(key, seed, func(blocks int) (engine.Duration, error) {
+	launch := runtime.DefaultConfig().MIC.LaunchOverhead
+	return tune.ClimbBlocks(tune.BaselineFromStats(base.Stats, launch), func(blocks int) (engine.Duration, error) {
 		res, err := r.run(b, workloads.MICOptimized, streamingOptions(b, blocks))
 		if err != nil {
 			return 0, err

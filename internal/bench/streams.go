@@ -13,7 +13,7 @@ import (
 // The streams report is the repo's perf-trajectory artifact: for every
 // workload it measures (a) how much the device-sharing scheduler gains over
 // serialized single-stream execution of the same concurrent request batch,
-// and (b) how close the online block-count autotuner lands to the
+// and (b) how close the block-count climb (tune.ClimbBlocks) lands to the
 // exhaustive-sweep oracle and how many probe runs it spent. compbench
 // -streams writes it as BENCH_streams.json.
 
@@ -32,7 +32,7 @@ type StreamsRow struct {
 	// the concurrent run.
 	CrossStreamOverlapNs int64 `json:"cross_stream_overlap_ns,omitempty"`
 
-	// Autotuner vs exhaustive sweep on the streaming block count.
+	// Block climb vs exhaustive sweep on the streaming block count.
 	TunedBlocks  int   `json:"tuned_blocks,omitempty"`
 	TunedNs      int64 `json:"tuned_ns,omitempty"`
 	TunerProbes  int   `json:"tuner_probes,omitempty"`
@@ -57,7 +57,7 @@ type StreamsReport struct {
 
 // StreamsBenchmark measures one workload: the scheduler speedup of
 // `requests` concurrent requests on `streams` streams over the same batch
-// serialized on one stream, plus the autotuner-vs-sweep comparison. The
+// serialized on one stream, plus the climb-vs-sweep comparison. The
 // per-request program is the workload's tuned streaming variant.
 func (r *Runner) StreamsBenchmark(b *workloads.Benchmark, streams, requests int) (StreamsRow, error) {
 	row := StreamsRow{Name: b.Name}

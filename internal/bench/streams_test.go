@@ -7,12 +7,12 @@ import (
 
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
-	"comp/internal/transform"
+	"comp/internal/tune"
 	"comp/internal/workloads"
 )
 
-// Acceptance: the online autotuner must converge within the probe budget
-// and land within 10% of the exhaustive-sweep oracle on every workload.
+// Acceptance: the block climb must converge within the probe budget and
+// land within 10% of the exhaustive-sweep oracle on every workload.
 func TestAutotunerMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full autotuner validation skipped in -short mode")
@@ -24,7 +24,7 @@ func TestAutotunerMatchesOracle(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			// One runner per parallel subtest (the run cache is not locked);
-			// tuner probes and sweep rungs still share it, so the oracle
+			// climb probes and sweep rungs still share it, so the oracle
 			// comparison costs no duplicate runs.
 			t.Parallel()
 			r := NewRunner()
@@ -36,8 +36,8 @@ func TestAutotunerMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sweep: %v", err)
 			}
-			if tuned.Probes > transform.DefaultMaxProbes {
-				t.Errorf("tuner spent %d probes, budget %d", tuned.Probes, transform.DefaultMaxProbes)
+			if tuned.Probes > tune.DefaultMaxProbes {
+				t.Errorf("tuner spent %d probes, budget %d", tuned.Probes, tune.DefaultMaxProbes)
 			}
 			gap := float64(tuned.Time)/float64(oracle.Stats.Time) - 1
 			if gap > 0.10 {
@@ -50,7 +50,7 @@ func TestAutotunerMatchesOracle(t *testing.T) {
 	}
 }
 
-// CI bench-smoke: two fast workloads, failing if the tuner lands >15% off
+// CI bench-smoke: two fast workloads, failing if the climb lands >15% off
 // the exhaustive-sweep oracle. Runs in -short mode so the smoke job stays
 // quick.
 func TestBenchSmokeAutotuner(t *testing.T) {
@@ -68,8 +68,8 @@ func TestBenchSmokeAutotuner(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: sweep: %v", name, err)
 		}
-		if tuned.Probes > transform.DefaultMaxProbes {
-			t.Errorf("%s: tuner spent %d probes, budget %d", name, tuned.Probes, transform.DefaultMaxProbes)
+		if tuned.Probes > tune.DefaultMaxProbes {
+			t.Errorf("%s: tuner spent %d probes, budget %d", name, tuned.Probes, tune.DefaultMaxProbes)
 		}
 		gap := float64(tuned.Time)/float64(oracle.Stats.Time) - 1
 		if gap > 0.15 {
@@ -78,7 +78,8 @@ func TestBenchSmokeAutotuner(t *testing.T) {
 	}
 }
 
-// A second Tune for the same workload must come from the cache.
+// A second climb for the same workload must pick the same blocks and run
+// no simulation: every probe is served from the Runner's run cache.
 func TestTuneStreamingCaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses real runs")
@@ -92,20 +93,21 @@ func TestTuneStreamingCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := len(r.SortedCacheKeys())
 	second, err := r.TuneStreaming(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached {
-		t.Error("second TuneStreaming was not served from cache")
+	if second != first {
+		t.Errorf("second climb %+v != first %+v", second, first)
 	}
-	if second.Blocks != first.Blocks {
-		t.Errorf("cached blocks %d != first %d", second.Blocks, first.Blocks)
+	if n := len(r.SortedCacheKeys()); n != runs {
+		t.Errorf("second climb added %d runs to the cache", n-runs)
 	}
 }
 
 // Scheduler speedup on workloads known to profit from device sharing: the
-// concurrent batch must beat the serialized one by ≥1.3×. Uses the tuner
+// concurrent batch must beat the serialized one by ≥1.3×. Uses the climb
 // directly (not StreamsBenchmark) so the sweep oracle — already exercised
 // by TestAutotunerMatchesOracle — is not re-run; the full-suite figures
 // live in BENCH_streams.json (compbench -streams).

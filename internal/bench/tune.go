@@ -9,7 +9,6 @@ import (
 	"comp/internal/core"
 	"comp/internal/runtime"
 	"comp/internal/sim/machine"
-	"comp/internal/transform"
 	"comp/internal/tune"
 	"comp/internal/workloads"
 )
@@ -103,7 +102,7 @@ func sweepOracle(b *workloads.Benchmark, cfg runtime.Config) (tune.Config, int64
 	for _, spec := range tune.DefaultSpecs(feats) {
 		ladder := []int{0}
 		if strings.Contains(spec, "streaming") {
-			ladder = transform.DefaultLadder()
+			ladder = tune.Ladder()
 		}
 		for _, n := range ladder {
 			c := tune.Config{Spec: spec, Blocks: n}

@@ -16,9 +16,7 @@ import (
 
 	"comp/internal/minic"
 	"comp/internal/pass"
-	"comp/internal/runtime"
-	"comp/internal/sim/engine"
-	"comp/internal/transform"
+	"comp/internal/tune"
 )
 
 // Options selects optimizations. The zero value disables everything;
@@ -42,14 +40,14 @@ type Options struct {
 	Blocks int
 	// Profile optionally carries measurements from an unoptimized run for
 	// the block-count model.
-	Profile *Profile
+	Profile *tune.Baseline
 }
 
 // BlocksAuto marks Options.Blocks as "choose by measurement". Drivers that
-// can re-run the program (bench, the CLIs' -blocks auto) resolve it through
-// transform.AutoTuner before the final compile; OptimizeFile itself treats
-// it like 0 — the analytic model or DefaultBlocks — which is exactly the
-// tuner's seed.
+// can re-run the program (bench, serve, compsim -blocks auto) resolve it
+// through tune.ClimbBlocks before the final compile; OptimizeFile itself
+// treats it like 0 — the analytic model or DefaultBlocks — which is
+// exactly the climb's seed.
 const BlocksAuto = -1
 
 // DefaultOptions enables every optimization.
@@ -94,28 +92,6 @@ func (o Options) PassConfig() pass.Config {
 		blocks = o.Profile.Blocks()
 	}
 	return pass.Config{Blocks: blocks, ReduceMemory: o.ReduceMemory, Persistent: o.Persistent}
-}
-
-// Profile carries the measurements the §III-B block-count model needs,
-// typically from one unoptimized simulated run.
-type Profile struct {
-	TransferTime engine.Duration // D
-	ComputeTime  engine.Duration // C (kernel time, launch overhead excluded)
-	LaunchCost   engine.Duration // K
-}
-
-// ProfileFromStats derives the model inputs from an unoptimized run.
-func ProfileFromStats(st runtime.Stats, launchCost engine.Duration) *Profile {
-	c := st.DeviceBusy - engine.Duration(st.KernelLaunches)*launchCost
-	if c < 0 {
-		c = 0
-	}
-	return &Profile{TransferTime: st.TransferBusy, ComputeTime: c, LaunchCost: launchCost}
-}
-
-// Blocks evaluates the analytic model on the profile.
-func (p *Profile) Blocks() int {
-	return transform.OptimalBlocks(p.TransferTime, p.ComputeTime, p.LaunchCost)
 }
 
 // Applied is the rendered view of one applied remark.

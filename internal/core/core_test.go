@@ -7,9 +7,9 @@ import (
 	"comp/internal/interp"
 	"comp/internal/pass"
 	rt "comp/internal/runtime"
-	"comp/internal/sim/engine"
 	"comp/internal/sim/machine"
 	"comp/internal/transform"
+	"comp/internal/tune"
 )
 
 const streamable = `
@@ -195,8 +195,8 @@ int main(void) {
 func TestProfileDrivenBlockCount(t *testing.T) {
 	base := runSource(t, streamable)
 	k := machine.XeonPhi().LaunchOverhead
-	prof := ProfileFromStats(base.Stats, k)
-	if prof.TransferTime <= 0 || prof.ComputeTime < 0 {
+	prof := tune.BaselineFromStats(base.Stats, k)
+	if prof.Transfer <= 0 || prof.Compute < 0 {
 		t.Fatalf("profile = %+v", prof)
 	}
 	n := prof.Blocks()
@@ -204,7 +204,7 @@ func TestProfileDrivenBlockCount(t *testing.T) {
 		t.Fatalf("model block count %d outside [2,64]", n)
 	}
 	res, err := Optimize(streamable, Options{
-		Streaming: true, ReduceMemory: true, Profile: prof,
+		Streaming: true, ReduceMemory: true, Profile: &prof,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,14 +217,6 @@ func TestProfileDrivenBlockCount(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("profile-driven streaming not reported: %+v", res.Report)
-	}
-}
-
-func TestProfileFromStatsClampsNegativeCompute(t *testing.T) {
-	st := rt.Stats{DeviceBusy: 10, KernelLaunches: 100, TransferBusy: 1000}
-	p := ProfileFromStats(st, engine.Duration(5))
-	if p.ComputeTime != 0 {
-		t.Fatalf("compute = %v, want clamped 0", p.ComputeTime)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
 	"comp/internal/sim/machine"
-	"comp/internal/transform"
 	"comp/internal/tune"
 	"comp/internal/workloads"
 )
@@ -242,7 +241,7 @@ func TestMeasurerCloneMatchesOptimizeSpec(t *testing.T) {
 			if spec == "" {
 				continue
 			}
-			for _, n := range append([]int{0}, transform.DefaultLadder()...) {
+			for _, n := range append([]int{0}, tune.Ladder()...) {
 				c := tune.Config{Spec: spec, Blocks: n}
 				got, err := core.CandidateText(m, c)
 				if err != nil {

@@ -790,25 +790,26 @@ func (r *Runtime) offloadPipelined(op *interp.OffloadOp) error {
 	ready := engine.AllOf(r.sim, deps...)
 
 	dur := regionTime(r.mic, op.Work, r.micThreads)
+	label := pragmaLabel(op.Pragma)
 	var done *engine.Event
 	if op.Persist {
 		p := r.persist[op.Pragma]
 		if p == nil {
-			p = r.launcher.LaunchPersistent(pragmaLabel(op.Pragma))
+			p = r.launcher.LaunchPersistent(label)
 			r.persist[op.Pragma] = p
 		}
 		if done, err = r.runBlock(p, ready, "block", dur); err != nil {
 			return err
 		}
 	} else {
-		if done, err = r.launchKernel(ready, pragmaLabel(op.Pragma), dur); err != nil {
+		if done, err = r.launchKernel(ready, label, dur); err != nil {
 			return err
 		}
 	}
 	for _, br := range op.DevTouched {
 		r.kernelUses = append(r.kernelUses, interval{
 			buf:    br.Name,
-			label:  pragmaLabel(op.Pragma),
+			label:  label,
 			done:   done,
 			dur:    dur,
 			loByte: br.StartByte,
@@ -816,7 +817,7 @@ func (r *Runtime) offloadPipelined(op *interp.OffloadOp) error {
 		})
 	}
 
-	r.kernels = append(r.kernels, kernelRec{done: done, label: pragmaLabel(op.Pragma), work: op.Work})
+	r.kernels = append(r.kernels, kernelRec{done: done, label: label, work: op.Work})
 	outputs, err := r.submitOutputs(op.Specs, done)
 	if err != nil {
 		return err
@@ -859,11 +860,12 @@ func (r *Runtime) offloadSync(op *interp.OffloadOp) error {
 		return err
 	}
 	dur := regionTime(r.mic, op.Work, r.micThreads)
-	done, err := r.launchKernel(tail, pragmaLabel(op.Pragma)+"!sync", dur)
+	label := pragmaLabel(op.Pragma)
+	done, err := r.launchKernel(tail, label+"!sync", dur)
 	if err != nil {
 		return err
 	}
-	r.kernels = append(r.kernels, kernelRec{done: done, label: pragmaLabel(op.Pragma), work: op.Work})
+	r.kernels = append(r.kernels, kernelRec{done: done, label: label, work: op.Work})
 	tail, err = r.syncDMAs(op.Specs, interp.DirOut, pcie.DeviceToHost, done)
 	if err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
 	"comp/internal/sim/metrics"
-	"comp/internal/transform"
 	"comp/internal/tune"
 	"comp/internal/vm"
 	"comp/internal/workloads"
@@ -80,8 +79,6 @@ type planEntry struct {
 // Planner builds and caches serving plans. It is safe for concurrent use
 // and may be shared between servers so a fleet warms one cache.
 type Planner struct {
-	tuner transform.AutoTuner
-
 	mu     sync.Mutex
 	ct     *tune.Tuner // cost-model pipeline tuner; nil = legacy block tuning
 	plans  map[string]*planEntry
@@ -258,10 +255,11 @@ func (pl *Planner) build(key string, job Job, cfg runtime.Config, mode string) (
 	opt := core.DefaultOptions()
 	probes := 0
 	if b.Has("streaming") {
-		// Seed the tuner from the §III-B model evaluated on the workload's
+		// Seed the climb from the §III-B model evaluated on the workload's
 		// streaming baseline (the same recipe the bench harness validated
 		// against the exhaustive sweep), then hill-climb on measured runs of
-		// the full optimization set — measure what will be served.
+		// the full optimization set — measure what will be served. planFor
+		// builds each key once, so the climb needs no cache of its own.
 		baseVariant, baseOpt := workloads.MICNaive, core.Options{}
 		if b.Has("regularization") {
 			baseVariant, baseOpt = workloads.MICOptimized, core.Options{Regularize: true}
@@ -270,8 +268,8 @@ func (pl *Planner) build(key string, job Job, cfg runtime.Config, mode string) (
 		if err != nil {
 			return nil, fmt.Errorf("serve: plan %s baseline: %w", key, err)
 		}
-		seed := core.ProfileFromStats(base.Stats, probeCfg.MIC.LaunchOverhead).Blocks()
-		tr, err := pl.tuner.Tune(key, seed, func(blocks int) (engine.Duration, error) {
+		bl := tune.BaselineFromStats(base.Stats, probeCfg.MIC.LaunchOverhead)
+		tr, err := tune.ClimbBlocks(bl, func(blocks int) (engine.Duration, error) {
 			o := core.DefaultOptions()
 			o.Blocks = blocks
 			res, err := b.Run(workloads.RunOptions{Variant: workloads.MICOptimized, Opt: o, Config: &probeCfg})
@@ -318,8 +316,8 @@ func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode str
 		if err != nil {
 			return nil, fmt.Errorf("serve: plan %s baseline: %w", key, err)
 		}
-		seed := core.ProfileFromStats(base.Stats, probeCfg.MIC.LaunchOverhead).Blocks()
-		tr, err := pl.tuner.Tune(key, seed, func(n int) (engine.Duration, error) {
+		bl := tune.BaselineFromStats(base.Stats, probeCfg.MIC.LaunchOverhead)
+		tr, err := tune.ClimbBlocks(bl, func(n int) (engine.Duration, error) {
 			o := core.DefaultOptions()
 			o.Blocks = n
 			res, err := core.Optimize(job.Source, o)

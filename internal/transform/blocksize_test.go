@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"fmt"
 	"testing"
 
 	"comp/internal/sim/engine"
@@ -52,106 +51,5 @@ func TestOptimalBlocksDegenerateInputs(t *testing.T) {
 	}
 	if got := OptimalBlocks(100, 100, 0); got != maxBlocks {
 		t.Errorf("OptimalBlocks(k=0) = %d, want %d", got, maxBlocks)
-	}
-}
-
-func TestAutoTunerFindsLadderMinimum(t *testing.T) {
-	tuner := &AutoTuner{}
-	// Convex cost: minimum at 10.
-	cost := func(blocks int) (engine.Duration, error) {
-		d := blocks - 10
-		return engine.Duration(1000 + d*d), nil
-	}
-	res, err := tuner.Tune("convex", 40, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 10 {
-		t.Errorf("Tune chose %d, want 10 (history %v)", res.Blocks, res.History)
-	}
-	if res.Probes > DefaultMaxProbes {
-		t.Errorf("Tune spent %d probes, budget %d", res.Probes, DefaultMaxProbes)
-	}
-	if res.Cached {
-		t.Error("first Tune reported Cached")
-	}
-}
-
-func TestAutoTunerCachesPerKey(t *testing.T) {
-	tuner := &AutoTuner{}
-	calls := 0
-	cost := func(blocks int) (engine.Duration, error) {
-		calls++
-		return engine.Duration(blocks), nil
-	}
-	first, err := tuner.Tune("k", 20, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	callsAfterFirst := calls
-	second, err := tuner.Tune("k", 20, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != callsAfterFirst {
-		t.Errorf("cached Tune measured again (%d -> %d calls)", callsAfterFirst, calls)
-	}
-	if !second.Cached || second.Probes != 0 {
-		t.Errorf("cached result not marked: %+v", second)
-	}
-	if second.Blocks != first.Blocks {
-		t.Errorf("cached Blocks %d != first %d", second.Blocks, first.Blocks)
-	}
-	// A different key measures afresh.
-	if _, err := tuner.Tune("k2", 20, cost); err != nil {
-		t.Fatal(err)
-	}
-	if calls == callsAfterFirst {
-		t.Error("distinct key did not measure")
-	}
-}
-
-func TestAutoTunerRespectsProbeBudget(t *testing.T) {
-	tuner := &AutoTuner{MaxProbes: 2}
-	calls := 0
-	// Monotone decreasing: the climb would walk the whole ladder.
-	cost := func(blocks int) (engine.Duration, error) {
-		calls++
-		return engine.Duration(1000 - blocks), nil
-	}
-	res, err := tuner.Tune("budget", 2, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 || res.Probes != 2 {
-		t.Errorf("spent %d measure calls / %d probes, budget 2", calls, res.Probes)
-	}
-	if res.Blocks == 0 {
-		t.Error("no block count chosen within budget")
-	}
-}
-
-func TestAutoTunerSeedOutsideLadder(t *testing.T) {
-	tuner := &AutoTuner{}
-	// Seed 64 (OptimalBlocks max) is above the top rung 50; the search must
-	// start at 50 and still walk downhill to the true minimum at 40.
-	cost := func(blocks int) (engine.Duration, error) {
-		d := blocks - 40
-		return engine.Duration(100 + d*d), nil
-	}
-	res, err := tuner.Tune("high-seed", 64, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 40 {
-		t.Errorf("Tune chose %d, want 40 (history %v)", res.Blocks, res.History)
-	}
-}
-
-func TestAutoTunerPropagatesMeasureError(t *testing.T) {
-	tuner := &AutoTuner{}
-	boom := fmt.Errorf("probe failed")
-	if _, err := tuner.Tune("err", 20, func(int) (engine.Duration, error) { return 0, boom }); err == nil {
-		t.Fatal("measure error not propagated")
 	}
 }

@@ -41,8 +41,7 @@ type Baseline struct {
 	Time     engine.Duration `json:"time"` // unoptimized makespan
 }
 
-// BaselineFromStats derives the baseline from an unoptimized run's stats,
-// mirroring core.ProfileFromStats with the launch count kept.
+// BaselineFromStats derives the baseline from an unoptimized run's stats.
 func BaselineFromStats(st runtime.Stats, launch engine.Duration) Baseline {
 	c := st.DeviceBusy - engine.Duration(st.KernelLaunches)*launch
 	if c < 0 {
@@ -55,6 +54,13 @@ func BaselineFromStats(st runtime.Stats, launch engine.Duration) Baseline {
 		Launches: st.KernelLaunches,
 		Time:     st.Time,
 	}
+}
+
+// Blocks is the §III-B model's block count for the baseline: what
+// OptimizeFile streams with when given the baseline, and the seed of
+// every block-count climb.
+func (b Baseline) Blocks() int {
+	return transform.OptimalBlocks(b.Transfer, b.Compute, b.Launch)
 }
 
 // CostModel prices candidate configurations without running them. It
@@ -250,10 +256,8 @@ func (m *CostModel) predict(c Config) (engine.Duration, float64) {
 // BestBlocks returns the block count minimizing the predicted cost of c
 // over the ladder (c.Blocks is ignored). For non-streaming specs the
 // choice is irrelevant and the first rung is returned.
-func (m *CostModel) BestBlocks(c Config, ladder []int) int {
-	if len(ladder) == 0 {
-		ladder = transform.DefaultLadder()
-	}
+func (m *CostModel) BestBlocks(c Config) int {
+	ladder := Ladder()
 	best, bestT := ladder[0], engine.Duration(math.MaxInt64)
 	for _, n := range ladder {
 		c.Blocks = n

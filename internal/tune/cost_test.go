@@ -136,10 +136,9 @@ func TestBestBlocksMatchesExhaustive(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m := testModel(randBaseline(r), randFeatures(r))
 		c := Config{Spec: pass.DefaultSpec}
-		ladder := []int{2, 4, 8, 10, 20, 40, 50}
-		got := m.BestBlocks(c, ladder)
+		got := m.BestBlocks(c)
 		best, bestT := 0, engine.Duration(1<<62)
-		for _, n := range ladder {
+		for _, n := range []int{2, 4, 8, 10, 20, 40, 50} {
 			c.Blocks = n
 			if d := m.PredictBatch(c); d < bestT {
 				best, bestT = n, d

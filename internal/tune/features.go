@@ -1,5 +1,5 @@
 // Package tune is the cost-model-driven configuration search that unifies
-// the pass pipeline and the block-count autotuner. It prices candidate
+// the pass pipeline and the block-count climb. It prices candidate
 // configurations — pipeline spec × streaming block count × device-stream
 // count — with an analytic cost model fed by the pass manager's memoized
 // analysis cache, spends a bounded simulator-probe budget only on the

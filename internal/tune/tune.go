@@ -9,16 +9,11 @@ import (
 	"comp/internal/pass"
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
-	"comp/internal/transform"
 )
 
-// DefaultMaxProbes is the simulator-probe budget per tuning decision,
-// matching the block autotuner's historical budget.
-const DefaultMaxProbes = transform.DefaultMaxProbes
-
-// DefaultWarmRadius is the feature-space distance under which a model
-// sample is trusted to seed the search directly (the warm path).
-const DefaultWarmRadius = 0.25
+// warmRadius is the feature-space distance under which a model sample is
+// trusted to seed the search directly (the warm path).
+const warmRadius = 0.25
 
 // coldSpecProbes is how many distinct pipeline specs the cold search
 // measures before refining the winner's block count; the rest of the
@@ -26,8 +21,8 @@ const DefaultWarmRadius = 0.25
 const coldSpecProbes = 3
 
 // Request describes one tuning problem: the workload's features and
-// baseline profile, the machine to tune for, the candidate space, the
-// probe budget, and the measurement oracle.
+// baseline profile, the machine to tune for, the candidate space, and the
+// measurement oracle.
 type Request struct {
 	// Key identifies the workload for caching and model samples.
 	Key string
@@ -39,15 +34,11 @@ type Request struct {
 	// Specs are the candidate pipeline specs ("" = compile unoptimized);
 	// nil derives them from the workload features via DefaultSpecs.
 	Specs []string
-	// Ladder is the streaming block ladder (nil = transform.DefaultLadder).
-	Ladder []int
 	// Streams are the candidate device-stream counts for batched serving
 	// (nil = {0}: stream count is not the tuner's to choose).
 	Streams []int
 	// Requests is the batch size stream pricing assumes (0 = 1).
 	Requests int
-	// MaxProbes bounds simulator probes (0 = the tuner's default).
-	MaxProbes int
 	// Measure runs one candidate configuration and returns its makespan.
 	Measure func(Config) (engine.Duration, error)
 }
@@ -70,14 +61,12 @@ type Decision struct {
 	History []Probe
 }
 
-// Tuner is the unified configuration search. It is safe for concurrent
-// use; decisions are cached per (key, platform).
+// Tuner is the unified configuration search. It spends at most
+// DefaultMaxProbes simulator probes per decision. It is safe for
+// concurrent use; decisions are cached per (key, platform).
 type Tuner struct {
 	// Model is the learned predictor seeding the search; nil tunes cold.
 	Model *Model
-	// MaxProbes and WarmRadius override the defaults when positive.
-	MaxProbes  int
-	WarmRadius float64
 
 	mu    sync.Mutex
 	cache map[string]Decision
@@ -120,23 +109,6 @@ func DefaultSpecs(w Features) []string {
 	return specs
 }
 
-func (t *Tuner) maxProbes(req Request) int {
-	switch {
-	case req.MaxProbes > 0:
-		return req.MaxProbes
-	case t.MaxProbes > 0:
-		return t.MaxProbes
-	}
-	return DefaultMaxProbes
-}
-
-func (t *Tuner) warmRadius() float64 {
-	if t.WarmRadius > 0 {
-		return t.WarmRadius
-	}
-	return DefaultWarmRadius
-}
-
 func cacheKey(req Request) string {
 	return fmt.Sprintf("%s|%s|%s|r%d", req.Key, req.Platform.MIC.Name, req.Platform.CPU.Name, req.Requests)
 }
@@ -144,9 +116,7 @@ func cacheKey(req Request) string {
 // search carries the shared state of one Tune call.
 type search struct {
 	model   *CostModel
-	ladder  []int
 	streams []int
-	budget  int
 	measure func(Config) (engine.Duration, error)
 
 	probed  map[Config]engine.Duration
@@ -165,7 +135,7 @@ func (s *search) normalize(c Config) Config {
 	if !specStreams(c.Spec) {
 		c.Blocks = 0
 	} else if c.Blocks <= 0 {
-		c.Blocks = s.model.BestBlocks(c, s.ladder)
+		c.Blocks = s.model.BestBlocks(c)
 	}
 	ok := false
 	for _, n := range s.streams {
@@ -187,7 +157,7 @@ func (s *search) probe(c Config) (dur engine.Duration, done bool, err error) {
 	if d, ok := s.probed[c]; ok {
 		return d, false, nil
 	}
-	if len(s.history) >= s.budget {
+	if len(s.history) >= DefaultMaxProbes {
 		return 0, true, nil
 	}
 	d, err := s.measure(c)
@@ -204,14 +174,15 @@ func (s *search) probe(c Config) (dur engine.Duration, done bool, err error) {
 
 // climbBlocks refines the winning streaming configuration's block count by
 // walking the ladder from its current rung while the measured time
-// improves — the same hill-climb the block autotuner runs, but charged to
-// the shared probe budget.
+// improves, charged to the shared probe budget. Unlike ClimbBlocks it
+// walks up first and then down, without peeking at both neighbours.
 func (s *search) climbBlocks() error {
 	if !s.haveBest || !specStreams(s.best.Spec) {
 		return nil
 	}
+	ladder := Ladder()
 	pos := 0
-	for i, n := range s.ladder {
+	for i, n := range ladder {
 		if n == s.best.Blocks {
 			pos = i
 			break
@@ -221,9 +192,9 @@ func (s *search) climbBlocks() error {
 		}
 	}
 	for _, dir := range []int{1, -1} {
-		for p := pos + dir; p >= 0 && p < len(s.ladder); p += dir {
+		for p := pos + dir; p >= 0 && p < len(ladder); p += dir {
 			c := s.best
-			c.Blocks = s.ladder[p]
+			c.Blocks = ladder[p]
 			before := s.bestTime
 			d, done, err := s.probe(c)
 			if err != nil {
@@ -235,7 +206,7 @@ func (s *search) climbBlocks() error {
 		}
 		// Re-center on the best rung found so the downhill walk starts
 		// from the winner, not the original seed.
-		for i, n := range s.ladder {
+		for i, n := range ladder {
 			if n == s.best.Blocks {
 				pos = i
 			}
@@ -262,10 +233,6 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	}
 	t.mu.Unlock()
 
-	ladder := req.Ladder
-	if len(ladder) == 0 {
-		ladder = transform.DefaultLadder()
-	}
 	streams := req.Streams
 	if len(streams) == 0 {
 		streams = []int{0}
@@ -282,9 +249,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	}
 	s := &search{
 		model:   m,
-		ladder:  ladder,
 		streams: streams,
-		budget:  t.maxProbes(req),
 		measure: req.Measure,
 		probed:  map[Config]engine.Duration{},
 	}
@@ -363,7 +328,7 @@ func (t *Tuner) warmStart(req Request, m *CostModel, s *search) (warmOutcome, er
 		return warmMiss, nil
 	}
 	sample, dist, ok := t.Model.Nearest(req.Workload, PlatformOf(req.Platform))
-	if !ok || dist > t.warmRadius() {
+	if !ok || dist > warmRadius {
 		return warmMiss, nil
 	}
 	if dist == 0 && sample.MeasuredNs > 0 {
@@ -374,7 +339,7 @@ func (t *Tuner) warmStart(req Request, m *CostModel, s *search) (warmOutcome, er
 	}
 	repriced := sample.Config
 	if specStreams(repriced.Spec) {
-		repriced.Blocks = m.BestBlocks(repriced, s.ladder)
+		repriced.Blocks = m.BestBlocks(repriced)
 	}
 	if _, _, err := s.probe(repriced); err != nil {
 		return warmMiss, err
@@ -449,7 +414,7 @@ func (t *Tuner) coldSearch(specs []string, m *CostModel, s *search) error {
 		}
 	}
 	if !s.haveBest {
-		return fmt.Errorf("tune: probe budget %d too small to measure any candidate", s.budget)
+		return fmt.Errorf("tune: probe budget %d too small to measure any candidate", DefaultMaxProbes)
 	}
 	return s.climbBlocks()
 }

@@ -8,7 +8,6 @@ import (
 	"comp/internal/runtime"
 	"comp/internal/sim/engine"
 	"comp/internal/sim/machine"
-	"comp/internal/transform"
 )
 
 // syntheticOracle is a stand-in simulator: ground truth follows the same
@@ -46,7 +45,7 @@ func sweepOracle(req Request) (Config, engine.Duration) {
 	for _, spec := range DefaultSpecs(req.Workload) {
 		blockChoices := []int{0}
 		if specStreams(spec) {
-			blockChoices = transform.DefaultLadder()
+			blockChoices = Ladder()
 		}
 		for _, n := range blockChoices {
 			c := Config{Spec: spec, Blocks: n}

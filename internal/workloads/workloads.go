@@ -207,7 +207,7 @@ func (b *Benchmark) Run(ro RunOptions) (runtime.Result, error) {
 // Prepare compiles a benchmark variant without executing it, returning the
 // program and the effective platform config. The stream scheduler uses it
 // to build one fresh program per request (each request needs its own
-// instance) and the autotuner to recompile at each probed block count.
+// instance) and the block climb to recompile at each probed block count.
 func (b *Benchmark) Prepare(ro RunOptions) (*interp.Program, runtime.Config, error) {
 	if b.SharedMem {
 		return nil, runtime.Config{}, fmt.Errorf("workloads: %s is a shared-memory benchmark; use RunShared", b.Name)
