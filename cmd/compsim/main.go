@@ -204,9 +204,10 @@ func tuneSource(src string, cfg runtime.Config, modelPath string) string {
 	return res.Source()
 }
 
-// resolveBlocks parses the -blocks flag. "auto" tunes by measurement: one
-// unoptimized run seeds the §III-B model, then tune.ClimbBlocks probes
-// optimized runs at candidate counts and keeps the fastest.
+// resolveBlocks parses the -blocks flag. "auto" tunes by measurement
+// through core's shared recipe: one run of the program as written seeds
+// the §III-B model, then tune.ClimbBlocks probes optimized runs at
+// candidate counts and keeps the fastest.
 func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 	if flagVal != "auto" {
 		n, err := strconv.Atoi(flagVal)
@@ -215,34 +216,11 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 		}
 		return n, nil
 	}
-	measure := func(nblocks int) (engine.Duration, error) {
-		opt := core.DefaultOptions()
-		opt.Blocks = nblocks
-		res, err := core.Optimize(src, opt)
-		if err != nil {
-			return 0, err
-		}
-		p, err := interp.Compile(res.Source())
-		if err != nil {
-			return 0, err
-		}
-		r, err := runtime.Run(p, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return r.Stats.Time, nil
-	}
-	// Profile run of the program as written, for the analytic seed.
-	p, err := interp.Compile(src)
+	m, err := core.NewMeasurer(src, cfg, nil)
 	if err != nil {
 		return 0, err
 	}
-	base, err := runtime.Run(p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	bl := tunepkg.BaselineFromStats(base.Stats, cfg.MIC.LaunchOverhead)
-	tuned, err := tunepkg.ClimbBlocks(bl, measure)
+	tuned, bl, err := m.ClimbBlocks("")
 	if err != nil {
 		return 0, err
 	}

@@ -3,13 +3,11 @@ package main
 import (
 	"bytes"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 
 	"comp/internal/cli"
 	"comp/internal/runtime"
-	"comp/internal/tune"
 	"comp/internal/vm"
 )
 
@@ -39,16 +37,16 @@ func TestExecFlagTable(t *testing.T) {
 }
 
 // TestResolveBlocks pins the -blocks flag: an integer passes through,
-// "auto" climbs to a rung of the tuning ladder, anything else is a usage
-// error.
+// "auto" climbs from the model's seed (64, nearest rung 50) down to 10 on
+// examples/blackscholes.c, anything else is a usage error.
 func TestResolveBlocks(t *testing.T) {
 	raw, err := os.ReadFile("../../examples/blackscholes.c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	src, cfg := string(raw), runtime.DefaultConfig()
-	if n, err := resolveBlocks("auto", src, cfg); err != nil || !slices.Contains(tune.Ladder(), n) {
-		t.Errorf("resolveBlocks(auto) = %d, %v; want a rung of %v", n, err, tune.Ladder())
+	if n, err := resolveBlocks("auto", src, cfg); err != nil || n != 10 {
+		t.Errorf("resolveBlocks(auto) = %d, %v; want 10", n, err)
 	}
 	if n, err := resolveBlocks("7", src, cfg); err != nil || n != 7 {
 		t.Errorf("resolveBlocks(7) = %d, %v; want 7", n, err)

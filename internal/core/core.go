@@ -16,7 +16,6 @@ import (
 
 	"comp/internal/minic"
 	"comp/internal/pass"
-	"comp/internal/tune"
 )
 
 // Options selects optimizations. The zero value disables everything;
@@ -34,21 +33,11 @@ type Options struct {
 	// Regularize enables the §IV transformations (loop splitting, array
 	// reordering, AoS→SoA).
 	Regularize bool
-	// Blocks fixes the streaming block count; 0 uses transform.DefaultBlocks
-	// or, if Profile is set, the §III-B analytic model. BlocksAuto requests
-	// measured tuning.
+	// Blocks fixes the streaming block count; 0 uses
+	// transform.DefaultBlocks. Measurer.ClimbBlocks chooses one by
+	// measurement.
 	Blocks int
-	// Profile optionally carries measurements from an unoptimized run for
-	// the block-count model.
-	Profile *tune.Baseline
 }
-
-// BlocksAuto marks Options.Blocks as "choose by measurement". Drivers that
-// can re-run the program (bench, serve, compsim -blocks auto) resolve it
-// through tune.ClimbBlocks before the final compile; OptimizeFile itself
-// treats it like 0 — the analytic model or DefaultBlocks — which is
-// exactly the climb's seed.
-const BlocksAuto = -1
 
 // DefaultOptions enables every optimization.
 func DefaultOptions() Options {
@@ -81,17 +70,9 @@ func (o Options) passNames() []string {
 	return names
 }
 
-// PassConfig resolves the streaming knobs — including the Profile-driven
-// block-count model — into the pass manager's config.
+// PassConfig resolves the streaming knobs into the pass manager's config.
 func (o Options) PassConfig() pass.Config {
-	blocks := o.Blocks
-	if blocks == BlocksAuto {
-		blocks = 0
-	}
-	if blocks == 0 && o.Profile != nil {
-		blocks = o.Profile.Blocks()
-	}
-	return pass.Config{Blocks: blocks, ReduceMemory: o.ReduceMemory, Persistent: o.Persistent}
+	return pass.Config{Blocks: o.Blocks, ReduceMemory: o.ReduceMemory, Persistent: o.Persistent}
 }
 
 // Applied is the rendered view of one applied remark.
@@ -181,11 +162,6 @@ func TunedSpec(d *pass.TuneDecision) string {
 // — predicted vs measured cost included — as a structured remark.
 func OptimizeTuned(src string, d *pass.TuneDecision) (*Result, error) {
 	return OptimizeSpec(src, TunedSpec(d), tunedConfig(d))
-}
-
-// OptimizeFileTuned is OptimizeTuned over a parsed and checked file.
-func OptimizeFileTuned(f *minic.File, d *pass.TuneDecision) (*Result, error) {
-	return OptimizeFileSpec(f, TunedSpec(d), tunedConfig(d))
 }
 
 func tunedConfig(d *pass.TuneDecision) pass.Config {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,19 +205,19 @@ func TestProfileDrivenBlockCount(t *testing.T) {
 		t.Fatalf("model block count %d outside [2,64]", n)
 	}
 	res, err := Optimize(streamable, Options{
-		Streaming: true, ReduceMemory: true, Profile: &prof,
+		Streaming: true, ReduceMemory: true, Blocks: n,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, a := range res.Report.Applied {
-		if a.Opt == "stream" && strings.Contains(a.Detail, "blocks") {
+		if a.Opt == "stream" && strings.Contains(a.Detail, fmt.Sprintf(" %d blocks", n)) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("profile-driven streaming not reported: %+v", res.Report)
+		t.Fatalf("streaming at the model's %d blocks not reported: %+v", n, res.Report)
 	}
 }
 

@@ -42,7 +42,7 @@ func (m *Measurer) tune(t *tune.Tuner, key string) (tune.Decision, error) {
 	if err != nil {
 		return tune.Decision{}, fmt.Errorf("tune %s: features: %w", key, err)
 	}
-	base, err := m.baseline()
+	base, err := m.run(m.text) // the program as written: the empty spec
 	if err != nil {
 		return tune.Decision{}, fmt.Errorf("tune %s: baseline: %w", key, err)
 	}
@@ -95,16 +95,6 @@ func NewMeasurer(src string, cfg runtime.Config, setup func(*interp.Program) err
 // callers must not modify it.
 func (m *Measurer) File() *minic.File { return m.file }
 
-// baseline runs the program as written and records its makespan for the
-// empty spec.
-func (m *Measurer) baseline() (runtime.Result, error) {
-	res, err := runText(m.text, m.cfg, m.setup)
-	if err == nil {
-		m.ran[m.text] = res.Stats.Time
-	}
-	return res, err
-}
-
 // Measure returns one candidate's makespan, running its program only if
 // no earlier candidate printed the same text. Failed runs are not
 // recorded.
@@ -116,12 +106,38 @@ func (m *Measurer) Measure(c tune.Config) (engine.Duration, error) {
 	if d, ok := m.ran[text]; ok {
 		return d, nil
 	}
-	res, err := runText(text, m.cfg, m.setup)
+	res, err := m.run(text)
+	return res.Stats.Time, err
+}
+
+// ClimbBlocks is the measured block-count recipe of the drivers that tune
+// only the block count (serve's untuned plans, compsim -blocks auto): run
+// the program under baseSpec ("" runs it as written) to seed the §III-B
+// model with its D, C and K, then tune.ClimbBlocks over runs of
+// pass.DefaultSpec. It also returns the baseline that seeded the climb.
+func (m *Measurer) ClimbBlocks(baseSpec string) (tune.BlockChoice, tune.Baseline, error) {
+	text, err := m.candidate(tune.Config{Spec: baseSpec})
 	if err != nil {
-		return 0, err
+		return tune.BlockChoice{}, tune.Baseline{}, err
 	}
-	m.ran[text] = res.Stats.Time
-	return res.Stats.Time, nil
+	res, err := m.run(text)
+	if err != nil {
+		return tune.BlockChoice{}, tune.Baseline{}, fmt.Errorf("baseline: %w", err)
+	}
+	bl := tune.BaselineFromStats(res.Stats, m.cfg.MIC.LaunchOverhead)
+	choice, err := tune.ClimbBlocks(bl, func(n int) (engine.Duration, error) {
+		return m.Measure(tune.Config{Spec: pass.DefaultSpec, Blocks: n})
+	})
+	return choice, bl, err
+}
+
+// run executes one program text and records its makespan.
+func (m *Measurer) run(text string) (runtime.Result, error) {
+	res, err := runText(text, m.cfg, m.setup)
+	if err == nil {
+		m.ran[text] = res.Stats.Time
+	}
+	return res, err
 }
 
 // candidate prints the program a configuration compiles to, optimizing a

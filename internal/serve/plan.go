@@ -9,7 +9,6 @@ import (
 	"comp/internal/interp"
 	"comp/internal/pass"
 	"comp/internal/runtime"
-	"comp/internal/sim/engine"
 	"comp/internal/sim/metrics"
 	"comp/internal/tune"
 	"comp/internal/vm"
@@ -113,17 +112,6 @@ func (pl *Planner) EnableTune(model *tune.Model) {
 	pl.ct = &tune.Tuner{Model: model}
 }
 
-// TuneModel returns the learned-predictor model behind EnableTune (nil
-// when cost-model tuning is off) so callers can persist it after a run.
-func (pl *Planner) TuneModel() *tune.Model {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.ct == nil {
-		return nil
-	}
-	return pl.ct.Model
-}
-
 func (pl *Planner) costTuner() *tune.Tuner {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -220,11 +208,7 @@ func (pl *Planner) planFor(job Job, cfg runtime.Config, mode string) (plan *Plan
 
 	// Build outside the lock; errors are cached too — plan building is
 	// deterministic, so a failed key would fail identically on retry.
-	if ct != nil {
-		e.plan, e.err = pl.buildTuned(ct, key, job, cfg, mode)
-	} else {
-		e.plan, e.err = pl.build(key, job, cfg, mode)
-	}
+	e.plan, e.err = pl.build(ct, key, job, cfg, mode)
 	if e.plan != nil {
 		pl.mu.Lock()
 		pl.probes += int64(e.plan.TuneProbes)
@@ -234,190 +218,126 @@ func (pl *Planner) planFor(job Job, cfg runtime.Config, mode string) (plan *Plan
 	return e.plan, false, e.err
 }
 
-// build constructs the plan: resolve the source, tune the block count by
-// measurement when the job streams, and optimize.
-func (pl *Planner) build(key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
+// program is a job resolved once: the MiniC program a plan serves and
+// what building the plan needs to know about it.
+type program struct {
+	name    string // the tuner's workload key
+	src     string
+	setup   func(*interp.Program) error
+	outputs []string
+	// probeCfg is the platform measured runs use: tracing off, and the
+	// workload's own CPU thread count.
+	probeCfg runtime.Config
+	// optimize is false for inline source served as written; climb
+	// reports whether the untuned build climbs the block count, and
+	// baseSpec is the spec its baseline runs under.
+	optimize bool
+	climb    bool
+	baseSpec string
+}
+
+// resolve looks a job up once. Registry workloads serve their own source,
+// setup and outputs, and climb only when they stream; their baseline is
+// regularized when the workload needs regularization to stream. Inline
+// jobs serve the job's own program and, when optimized, always climb.
+func resolve(job Job, cfg runtime.Config) (program, error) {
+	cfg.DisableTrace = true
 	if job.Source != "" {
-		return pl.buildSource(key, job, cfg, mode)
+		return program{
+			name:     job.Key,
+			src:      job.Source,
+			setup:    job.Setup,
+			outputs:  append([]string(nil), job.Outputs...),
+			probeCfg: cfg,
+			optimize: job.Optimize,
+			climb:    true,
+		}, nil
 	}
 	b, err := workloads.Get(job.Workload)
 	if err != nil {
-		return nil, err
+		return program{}, err
 	}
 	if b.SharedMem {
-		return nil, fmt.Errorf("serve: %s is a shared-memory benchmark; the scheduler serves MiniC offload programs", b.Name)
+		return program{}, fmt.Errorf("serve: %s is a shared-memory benchmark; the scheduler serves MiniC offload programs", b.Name)
 	}
-	probeCfg := cfg
-	probeCfg.DisableTrace = true
 	if b.CPUThreads > 0 {
-		probeCfg.CPUThreads = b.CPUThreads
+		cfg.CPUThreads = b.CPUThreads
 	}
-	opt := core.DefaultOptions()
-	probes := 0
-	if b.Has("streaming") {
-		// Seed the climb from the §III-B model evaluated on the workload's
-		// streaming baseline (the same recipe the bench harness validated
-		// against the exhaustive sweep), then hill-climb on measured runs of
-		// the full optimization set — measure what will be served. planFor
-		// builds each key once, so the climb needs no cache of its own.
-		baseVariant, baseOpt := workloads.MICNaive, core.Options{}
-		if b.Has("regularization") {
-			baseVariant, baseOpt = workloads.MICOptimized, core.Options{Regularize: true}
-		}
-		base, err := b.Run(workloads.RunOptions{Variant: baseVariant, Opt: baseOpt, Config: &probeCfg})
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s baseline: %w", key, err)
-		}
-		bl := tune.BaselineFromStats(base.Stats, probeCfg.MIC.LaunchOverhead)
-		tr, err := tune.ClimbBlocks(bl, func(blocks int) (engine.Duration, error) {
-			o := core.DefaultOptions()
-			o.Blocks = blocks
-			res, err := b.Run(workloads.RunOptions{Variant: workloads.MICOptimized, Opt: o, Config: &probeCfg})
-			if err != nil {
-				return 0, err
-			}
-			return res.Stats.Time, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s tuning: %w", key, err)
-		}
-		opt.Blocks = tr.Blocks
-		probes = tr.Probes
+	p := program{
+		name:     job.Key,
+		src:      b.Source,
+		setup:    b.Setup,
+		outputs:  append([]string(nil), b.Outputs...),
+		probeCfg: cfg,
+		optimize: true,
+		climb:    b.Has("streaming"),
 	}
-	res, err := core.Optimize(b.Source, opt)
-	if err != nil {
-		return nil, fmt.Errorf("serve: plan %s optimize: %w", key, err)
+	if p.name == "" {
+		p.name = b.Name
 	}
-	return &Plan{
-		Key:        key,
-		Source:     res.Source(),
-		Blocks:     opt.Blocks,
-		TuneProbes: probes,
-		Outputs:    append([]string(nil), b.Outputs...),
-		Remarks:    res.Report.Remarks,
-		setup:      b.Setup,
-	}, nil
+	if b.Has("regularization") {
+		p.baseSpec = "regularize"
+	}
+	return p, nil
 }
 
-// buildSource plans an inline-source job. Without Optimize the source is
-// served as written (the plan still validates it compiles, and keeps a VM
-// compile as the plan's executable); with Optimize the block count is
-// tuned by measurement and the COMP pipeline applied, exactly as for
-// registry workloads.
-func (pl *Planner) buildSource(key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
-	probeCfg := cfg
-	probeCfg.DisableTrace = true
-	src := job.Source
-	blocks, probes := 0, 0
-	var remarks pass.Remarks
-	var exec *executable
-	if job.Optimize {
-		base, err := core.TunedRun(job.Source, tune.Config{}, probeCfg, job.Setup)
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s baseline: %w", key, err)
-		}
-		bl := tune.BaselineFromStats(base.Stats, probeCfg.MIC.LaunchOverhead)
-		tr, err := tune.ClimbBlocks(bl, func(n int) (engine.Duration, error) {
-			o := core.DefaultOptions()
-			o.Blocks = n
-			res, err := core.Optimize(job.Source, o)
-			if err != nil {
-				return 0, err
-			}
-			probed, err := core.TunedRun(res.Source(), tune.Config{}, probeCfg, job.Setup)
-			if err != nil {
-				return 0, err
-			}
-			return probed.Stats.Time, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s tuning: %w", key, err)
-		}
-		o := core.DefaultOptions()
-		o.Blocks = tr.Blocks
-		res, err := core.Optimize(job.Source, o)
-		if err != nil {
-			return nil, fmt.Errorf("serve: plan %s optimize: %w", key, err)
-		}
-		src, blocks, probes = res.Source(), tr.Blocks, tr.Probes
-		remarks = res.Report.Remarks
-	} else if mode == vm.ExecVM {
-		x := pl.compile(key, src)
+// build constructs a plan. Inline source without Optimize is served as
+// written (the plan still validates it compiles, and keeps a VM compile
+// as the plan's executable). With the cost-model tuner on, the tuner
+// picks the whole configuration and the winner compiles behind a tune
+// stage, so the decision lands in the plan's remark trail. Otherwise the
+// full COMP pipeline runs at a block count climbed by measurement —
+// measuring what will be served. planFor builds each key once, so the
+// climb needs no cache of its own.
+func (pl *Planner) build(ct *tune.Tuner, key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
+	p, err := resolve(job, cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan := &Plan{Key: key, Source: p.src, Outputs: p.outputs, setup: p.setup}
+	switch {
+	case !p.optimize && mode == vm.ExecVM:
+		x := pl.compile(key, p.src)
 		if x.err != nil {
 			return nil, fmt.Errorf("serve: plan %s: %w", key, x.err)
 		}
-		exec = &x
-	} else {
+		plan.exec = &x
+	case !p.optimize:
 		pl.noteCompile(key, mode)
-		if _, err := interp.Compile(src); err != nil {
+		if _, err := interp.Compile(p.src); err != nil {
 			return nil, fmt.Errorf("serve: plan %s: %w", key, err)
 		}
-	}
-	return &Plan{
-		Key:        key,
-		Source:     src,
-		Blocks:     blocks,
-		TuneProbes: probes,
-		Outputs:    append([]string(nil), job.Outputs...),
-		Remarks:    remarks,
-		setup:      job.Setup,
-		exec:       exec,
-	}, nil
-}
-
-// buildTuned constructs a plan through the unified cost-model pipeline
-// search: extract the workload's features, measure one unoptimized
-// baseline, let the tuner rank and probe candidate (spec, blocks)
-// configurations within its budget, then compile the winner behind a tune
-// stage so the decision — predicted vs measured cost included — lands in
-// the plan's remark trail.
-func (pl *Planner) buildTuned(ct *tune.Tuner, key string, job Job, cfg runtime.Config, mode string) (*Plan, error) {
-	if job.Source != "" && !job.Optimize {
-		// Inline source served as written: nothing to tune.
-		return pl.buildSource(key, job, cfg, mode)
-	}
-	probeCfg := cfg
-	probeCfg.DisableTrace = true
-	src := job.Source
-	setup := job.Setup
-	outputs := append([]string(nil), job.Outputs...)
-	base := job.Key
-	if src == "" {
-		b, err := workloads.Get(job.Workload)
+	case ct != nil:
+		d, err := core.TuneSource(ct, p.name, p.src, p.probeCfg, p.setup)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: plan %s: %w", key, err)
 		}
-		if b.SharedMem {
-			return nil, fmt.Errorf("serve: %s is a shared-memory benchmark; the scheduler serves MiniC offload programs", b.Name)
+		res, err := core.OptimizeTuned(p.src, &d.TuneDecision)
+		if err != nil {
+			return nil, fmt.Errorf("serve: plan %s optimize: %w", key, err)
 		}
-		if b.CPUThreads > 0 {
-			probeCfg.CPUThreads = b.CPUThreads
+		plan.Source, plan.Remarks = res.Source(), res.Report.Remarks
+		plan.Blocks, plan.TuneProbes, plan.Tuned = d.Blocks, d.Probes, &d.TuneDecision
+	default:
+		opt := core.DefaultOptions()
+		if p.climb {
+			m, err := core.NewMeasurer(p.src, p.probeCfg, p.setup)
+			if err != nil {
+				return nil, fmt.Errorf("serve: plan %s: %w", key, err)
+			}
+			choice, _, err := m.ClimbBlocks(p.baseSpec)
+			if err != nil {
+				return nil, fmt.Errorf("serve: plan %s tuning: %w", key, err)
+			}
+			opt.Blocks, plan.TuneProbes = choice.Blocks, choice.Probes
 		}
-		src, setup = b.Source, b.Setup
-		outputs = append([]string(nil), b.Outputs...)
-		if base == "" {
-			base = b.Name
+		res, err := core.Optimize(p.src, opt)
+		if err != nil {
+			return nil, fmt.Errorf("serve: plan %s optimize: %w", key, err)
 		}
+		plan.Source, plan.Remarks, plan.Blocks = res.Source(), res.Report.Remarks, opt.Blocks
 	}
-
-	d, err := core.TuneSource(ct, base, src, probeCfg, setup)
-	if err != nil {
-		return nil, fmt.Errorf("serve: plan %s: %w", key, err)
-	}
-	res, err := core.OptimizeTuned(src, &d.TuneDecision)
-	if err != nil {
-		return nil, fmt.Errorf("serve: plan %s optimize: %w", key, err)
-	}
-	return &Plan{
-		Key:        key,
-		Source:     res.Source(),
-		Blocks:     d.Blocks,
-		TuneProbes: d.Probes,
-		Outputs:    outputs,
-		Remarks:    res.Report.Remarks,
-		Tuned:      &d.TuneDecision,
-		setup:      setup,
-	}, nil
+	return plan, nil
 }
 
 // executable returns the plan's VM code, compiling it on first use: once

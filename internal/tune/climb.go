@@ -13,6 +13,8 @@ import (
 // Applications on Intel Xeon Phi") show measured feedback beats the closed
 // form there. ClimbBlocks keeps the model as the starting point and lets
 // measurement decide: it hill-climbs the ladder on simulated run times.
+// The cost-model Tuner refines its winner's block count with the same
+// climb.
 
 // Ladder is the candidate block counts every tuner walks: the paper's
 // sweep {10, 20, 40, 50} widened downward so transfer-dominated kernels
@@ -34,38 +36,40 @@ type BlockChoice struct {
 }
 
 // ClimbBlocks picks a streaming block count by measurement. It seeds at
-// the ladder rung nearest the §III-B optimum for the baseline, peeks at
-// both neighbours to pick the downhill direction, then keeps walking while
-// the measured time improves, stopping at a local minimum or when
-// DefaultMaxProbes runs are spent. measure runs the program streamed at
-// one block count and returns its makespan.
+// the ladder rung nearest the §III-B optimum for the baseline and climbs
+// from there, spending at most DefaultMaxProbes runs. measure runs the
+// program streamed at one block count and returns its makespan.
 func ClimbBlocks(b Baseline, measure func(blocks int) (engine.Duration, error)) (BlockChoice, error) {
-	return climb(b.Blocks(), DefaultMaxProbes, measure)
-}
-
-func climb(seed, budget int, measure func(blocks int) (engine.Duration, error)) (BlockChoice, error) {
-	ladder := Ladder()
 	var res BlockChoice
-	// probe measures rung i; ok is false once the budget is spent or on
-	// error. The climb never revisits a rung, so nothing is memoized.
-	probe := func(i int) (d engine.Duration, ok bool, err error) {
-		if res.Probes == budget {
+	err := climb(b.Blocks(), func(n int) (engine.Duration, bool, error) {
+		if res.Probes == DefaultMaxProbes {
 			return 0, false, nil
 		}
-		if d, err = measure(ladder[i]); err != nil {
-			return 0, false, fmt.Errorf("tune: measuring %d blocks: %w", ladder[i], err)
+		d, err := measure(n)
+		if err != nil {
+			return 0, false, fmt.Errorf("tune: measuring %d blocks: %w", n, err)
 		}
 		res.Probes++
 		if res.Probes == 1 || d < res.Time {
-			res.Blocks, res.Time = ladder[i], d
+			res.Blocks, res.Time = n, d
 		}
 		return d, true, nil
-	}
+	})
+	return res, err
+}
 
+// climb is the one walk over the ladder, shared by ClimbBlocks and the
+// cost-model search's block refinement. It probes the rung nearest seed,
+// peeks at both neighbours to pick the downhill direction, then keeps
+// walking while the measured time improves, stopping at a local minimum
+// or as soon as probe reports (ok false) that the caller's budget is
+// spent. The caller's probe keeps track of the fastest run.
+func climb(seed int, probe func(blocks int) (d engine.Duration, ok bool, err error)) error {
+	ladder := Ladder()
 	at := nearestRung(ladder, seed)
-	best, ok, err := probe(at)
+	best, ok, err := probe(ladder[at])
 	if !ok {
-		return res, err
+		return err
 	}
 	dir := 0
 	for _, d := range []int{-1, +1} {
@@ -73,9 +77,9 @@ func climb(seed, budget int, measure func(blocks int) (engine.Duration, error)) 
 		if j < 0 || j >= len(ladder) {
 			continue
 		}
-		n, ok, err := probe(j)
+		n, ok, err := probe(ladder[j])
 		if !ok {
-			return res, err
+			return err
 		}
 		if n < best {
 			best, dir = n, d
@@ -87,16 +91,16 @@ func climb(seed, budget int, measure func(blocks int) (engine.Duration, error)) 
 		if j < 0 || j >= len(ladder) {
 			break
 		}
-		n, ok, err := probe(j)
+		n, ok, err := probe(ladder[j])
 		if !ok {
-			return res, err
+			return err
 		}
 		if n >= best {
 			break
 		}
 		best = n
 	}
-	return res, nil
+	return nil
 }
 
 // nearestRung returns the index of the ladder value closest to seed, the

@@ -8,39 +8,51 @@ import (
 	"comp/internal/sim/engine"
 )
 
+// climbCurve walks a cost curve from seed with climb under a probe
+// budget, returning the fastest block count and the measure calls spent.
+func climbCurve(seed, budget int, cost func(blocks int) engine.Duration) (best, probes int, err error) {
+	var bestT engine.Duration
+	err = climb(seed, func(n int) (engine.Duration, bool, error) {
+		if probes == budget {
+			return 0, false, nil
+		}
+		probes++
+		d := cost(n)
+		if probes == 1 || d < bestT {
+			best, bestT = n, d
+		}
+		return d, true, nil
+	})
+	return best, probes, err
+}
+
 func TestClimbFindsLadderMinimum(t *testing.T) {
 	// Convex cost: minimum at 10.
-	cost := func(blocks int) (engine.Duration, error) {
+	cost := func(blocks int) engine.Duration {
 		d := blocks - 10
-		return engine.Duration(1000 + d*d), nil
+		return engine.Duration(1000 + d*d)
 	}
-	res, err := climb(40, DefaultMaxProbes, cost)
+	best, probes, err := climbCurve(40, DefaultMaxProbes, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Blocks != 10 {
-		t.Errorf("climb chose %d, want 10 (%+v)", res.Blocks, res)
-	}
-	if res.Probes > DefaultMaxProbes {
-		t.Errorf("climb spent %d probes, budget %d", res.Probes, DefaultMaxProbes)
+	if best != 10 {
+		t.Errorf("climb chose %d after %d probes, want 10", best, probes)
 	}
 }
 
 func TestClimbRespectsProbeBudget(t *testing.T) {
-	calls := 0
-	// Monotone decreasing: the climb would walk the whole ladder.
-	cost := func(blocks int) (engine.Duration, error) {
-		calls++
-		return engine.Duration(1000 - blocks), nil
-	}
-	res, err := climb(2, 2, cost)
+	// Monotone decreasing: the climb would walk the whole ladder, but it
+	// stops as soon as the probe reports the budget spent.
+	cost := func(blocks int) engine.Duration { return engine.Duration(1000 - blocks) }
+	best, probes, err := climbCurve(2, 2, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 || res.Probes != 2 {
-		t.Errorf("spent %d measure calls / %d probes, budget 2", calls, res.Probes)
+	if probes != 2 {
+		t.Errorf("spent %d measure calls, budget 2", probes)
 	}
-	if res.Blocks == 0 {
+	if best == 0 {
 		t.Error("no block count chosen within budget")
 	}
 }
@@ -48,16 +60,65 @@ func TestClimbRespectsProbeBudget(t *testing.T) {
 func TestClimbSeedOutsideLadder(t *testing.T) {
 	// Seed 64 (OptimalBlocks max) is above the top rung 50; the climb must
 	// start at 50 and still walk downhill to the true minimum at 40.
-	cost := func(blocks int) (engine.Duration, error) {
+	cost := func(blocks int) engine.Duration {
 		d := blocks - 40
-		return engine.Duration(100 + d*d), nil
+		return engine.Duration(100 + d*d)
 	}
-	res, err := climb(64, DefaultMaxProbes, cost)
+	best, probes, err := climbCurve(64, DefaultMaxProbes, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Blocks != 40 {
-		t.Errorf("climb chose %d, want 40 (%+v)", res.Blocks, res)
+	if best != 40 {
+		t.Errorf("climb chose %d after %d probes, want 40", best, probes)
+	}
+}
+
+// The cost-model search refines its winner's block count with the same
+// walk as ClimbBlocks: seeded at the same rung of one convex curve, both
+// probe the same rungs in the same order and pick the same count.
+func TestSearchClimbMatchesClimbBlocks(t *testing.T) {
+	b := Baseline{Transfer: 100000, Compute: 100000, Launch: 1000}
+	seed := b.Blocks()
+	if seed != 10 {
+		t.Fatalf("Baseline.Blocks() = %d, want 10", seed)
+	}
+	// Convex, minimum at rung 40: the walk must turn upward.
+	cost := func(blocks int) engine.Duration {
+		d := blocks - 40
+		return engine.Duration(1000 + d*d)
+	}
+
+	var climbOrder []int
+	choice, err := ClimbBlocks(b, func(n int) (engine.Duration, error) {
+		climbOrder = append(climbOrder, n)
+		return cost(n), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var searchOrder []int
+	s := &search{
+		model:   &CostModel{},
+		streams: []int{0},
+		probed:  map[Config]engine.Duration{},
+		measure: func(c Config) (engine.Duration, error) {
+			searchOrder = append(searchOrder, c.Blocks)
+			return cost(c.Blocks), nil
+		},
+	}
+	if _, _, err := s.probe(Config{Spec: "streaming", Blocks: seed}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.climbBlocks(); err != nil {
+		t.Fatal(err)
+	}
+
+	if fmt.Sprint(searchOrder) != fmt.Sprint(climbOrder) {
+		t.Errorf("search probed %v, ClimbBlocks probed %v", searchOrder, climbOrder)
+	}
+	if s.best.Blocks != choice.Blocks || s.best.Blocks != 40 {
+		t.Errorf("search chose %d, ClimbBlocks %d, want 40", s.best.Blocks, choice.Blocks)
 	}
 }
 

@@ -74,63 +74,6 @@ func TestPredictMonotonePastKnee(t *testing.T) {
 	}
 }
 
-// Satellite property 2: feature vectors and configurations recovered from
-// a remark trail are invariant under any permutation of the trail, so the
-// predicted cost conditioned on them is too.
-func TestTrailPermutationInvariant(t *testing.T) {
-	passes := []string{"merge", "regularize", "streaming", "tune", "pipeline"}
-	ops := []string{"merge", "reorder", "split", "soa", "stream", "select", "upfront-gather"}
-	verdicts := []pass.Verdict{pass.VerdictApplied, pass.VerdictSkippedIllegal, pass.VerdictSkippedUnprofitable}
-
-	randTrail := func(r *rand.Rand) pass.Remarks {
-		n := 1 + r.Intn(20)
-		rs := make(pass.Remarks, 0, n)
-		for i := 0; i < n; i++ {
-			rs = append(rs, pass.Remark{
-				Pass:    passes[r.Intn(len(passes))],
-				Op:      ops[r.Intn(len(ops))],
-				Pos:     []string{"3:5", "7:5", "12:5", "20:9"}[r.Intn(4)],
-				Verdict: verdicts[r.Intn(len(verdicts))],
-				Args: map[string]any{
-					"inner":  2 + r.Intn(3),
-					"blocks": []int{2, 10, 20, 40}[r.Intn(4)],
-				},
-			})
-		}
-		return rs
-	}
-
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		trail := randTrail(r)
-		shuffled := append(pass.Remarks(nil), trail...)
-		r.Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-
-		fa, fb := FeaturesFromRemarks(trail), FeaturesFromRemarks(shuffled)
-		if fa != fb {
-			t.Logf("seed %d: features differ under permutation:\n%+v\n%+v", seed, fa, fb)
-			return false
-		}
-		ca, cb := ConfigFromRemarks(trail), ConfigFromRemarks(shuffled)
-		if ca != cb {
-			t.Logf("seed %d: configs differ under permutation: %+v vs %+v", seed, ca, cb)
-			return false
-		}
-		ma := testModel(randBaseline(rand.New(rand.NewSource(seed))), fa)
-		mb := testModel(randBaseline(rand.New(rand.NewSource(seed))), fb)
-		if ma.Predict(ca) != mb.Predict(cb) {
-			t.Logf("seed %d: predicted cost differs under permutation", seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBestBlocksMatchesExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {

@@ -4,15 +4,13 @@
 // count — with an analytic cost model fed by the pass manager's memoized
 // analysis cache, spends a bounded simulator-probe budget only on the
 // top-ranked candidates, and seeds the search from a learned
-// nearest-neighbour predictor trained on past remark trails so repeat and
+// nearest-neighbour predictor trained on past decisions so repeat and
 // near-miss workloads converge in 0–2 probes.
 package tune
 
 import (
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"comp/internal/analysis"
 	"comp/internal/minic"
@@ -23,8 +21,7 @@ import (
 
 // Features is the workload feature vector: the static facts about a
 // program the cost model and the learned predictor condition on. All
-// fields are aggregates (counts, fractions, sums), so a vector derived
-// from a remark trail is invariant under remark reordering.
+// fields are aggregates (counts, fractions, sums).
 type Features struct {
 	// Loops counts offloaded loops; Iters their total trip count when the
 	// bounds are compile-time constants (0 otherwise).
@@ -195,130 +192,6 @@ func countInnerOffloads(outer *minic.ForStmt) int {
 		return true
 	})
 	return n
-}
-
-// FeaturesFromRemarks reconstructs a feature vector from a structured
-// remark trail — the training path: a past compilation's remark log is
-// enough to place it in feature space without re-parsing the source. The
-// reconstruction is lossy (remarks record decisions, not raw analysis) but
-// deterministic, and because only counts and sums are accumulated the
-// result is invariant under any permutation of the trail.
-func FeaturesFromRemarks(rs pass.Remarks) Features {
-	var w Features
-	loopPos := map[string]bool{}
-	var streamed, reorders, merges float64
-	for _, r := range rs {
-		if r.Pos != "" && (r.Pass == "streaming" || r.Pass == "regularize" || r.Pass == "merge") {
-			loopPos[r.Pos] = true
-		}
-		switch r.Pass {
-		case "streaming":
-			if r.Verdict.Applied() && r.Op == "stream" {
-				streamed++
-			}
-		case "regularize":
-			if r.Verdict.Applied() {
-				reorders++
-			}
-		case "merge":
-			if r.Verdict.Applied() {
-				merges++
-				w.MergeInner += argFloat(r.Args, "inner")
-			}
-		}
-	}
-	w.Loops = float64(len(loopPos))
-	w.MergeCands = merges
-	if w.Loops > 0 {
-		w.StreamLegal = clamp01(streamed / w.Loops)
-		w.RegUnlocks = clamp01(reorders / w.Loops)
-		w.Vectorizable = clamp01(1 - reorders/w.Loops)
-	}
-	if reorders > 0 {
-		// Reordering fired, so irregular traffic existed; the trail does
-		// not record how much, so a fixed mid-scale stand-in keeps the
-		// vector comparable across trails.
-		w.Irregular = 0.5
-	}
-	return w
-}
-
-// ConfigFromRemarks recovers the configuration a remark trail documents:
-// the applied passes (in the canonical profitable order — the trail's
-// order is not trusted), the streaming block count, and, when a tune
-// remark is present, the tuner's own recorded decision, which wins
-// outright. Like FeaturesFromRemarks it is permutation-invariant.
-func ConfigFromRemarks(rs pass.Remarks) Config {
-	applied := map[string]bool{}
-	var c Config
-	var tuned []Config
-	for _, r := range rs {
-		if !r.Verdict.Applied() {
-			continue
-		}
-		if r.Pass == "tune" {
-			tuned = append(tuned, Config{
-				Spec:    argString(r.Args, "spec"),
-				Blocks:  int(argFloat(r.Args, "blocks")),
-				Streams: int(argFloat(r.Args, "streams")),
-			})
-			continue
-		}
-		switch r.Pass {
-		case "merge", "regularize", "streaming":
-			applied[r.Pass] = true
-		}
-		if r.Pass == "streaming" && r.Op == "stream" {
-			if b := int(argFloat(r.Args, "blocks")); b > c.Blocks {
-				c.Blocks = b
-			}
-		}
-	}
-	if len(tuned) > 0 {
-		// A genuine trail holds one tune remark; if a mangled log holds
-		// several, the deterministic maximum keeps the reconstruction
-		// order-invariant.
-		sortConfigs(tuned)
-		return tuned[len(tuned)-1]
-	}
-	var names []string
-	for _, name := range []string{"merge", "regularize", "streaming"} {
-		if applied[name] {
-			names = append(names, name)
-		}
-	}
-	c.Spec = strings.Join(names, ",")
-	return c
-}
-
-func argFloat(args map[string]any, key string) float64 {
-	switch v := args[key].(type) {
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	case float64:
-		return v
-	case string:
-		f, _ := strconv.ParseFloat(v, 64)
-		return f
-	}
-	return 0
-}
-
-func argString(args map[string]any, key string) string {
-	s, _ := args[key].(string)
-	return s
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 // Platform is the machine-side feature vector: what the predictor needs to

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"comp/internal/minic"
-	"comp/internal/pass"
 )
 
 const regularSrc = `
@@ -83,48 +82,6 @@ func TestExtractIrregularLoop(t *testing.T) {
 	}
 	if w.Vectorizable != 0 {
 		t.Errorf("Vectorizable = %v, want 0", w.Vectorizable)
-	}
-}
-
-// The trail-derived features of a real compilation must agree with the
-// static extraction on the aggregate facts both can see.
-func TestFeaturesFromRealTrail(t *testing.T) {
-	m, err := pass.Parse(pass.DefaultSpec, pass.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	remarks, err := m.Run(parseSrc(t, regularSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := FeaturesFromRemarks(remarks)
-	if w.Loops != 1 {
-		t.Fatalf("trail Loops = %v, want 1:\n%s", w.Loops, remarks.Render())
-	}
-	if w.StreamLegal != 1 {
-		t.Errorf("trail StreamLegal = %v, want 1", w.StreamLegal)
-	}
-	c := ConfigFromRemarks(remarks)
-	if c.Spec != "streaming" {
-		t.Errorf("trail spec = %q, want \"streaming\" (only streaming applied)", c.Spec)
-	}
-	if c.Blocks <= 0 {
-		t.Errorf("trail blocks = %d, want > 0", c.Blocks)
-	}
-}
-
-// A tune remark in the trail is authoritative: it carries the decision
-// verbatim and overrides reconstruction from individual pass remarks.
-func TestConfigFromRemarksTuneWins(t *testing.T) {
-	d := pass.TuneDecision{Spec: "merge,streaming", Blocks: 40, Streams: 2, Source: "search"}
-	rs := pass.Remarks{
-		{Pass: "streaming", Op: "stream", Verdict: pass.VerdictApplied, Args: map[string]any{"blocks": 10}},
-		d.Remark(),
-	}
-	c := ConfigFromRemarks(rs)
-	want := Config{Spec: "merge,streaming", Blocks: 40, Streams: 2}
-	if c != want {
-		t.Fatalf("ConfigFromRemarks = %+v, want %+v", c, want)
 	}
 }
 

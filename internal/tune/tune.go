@@ -172,47 +172,20 @@ func (s *search) probe(c Config) (dur engine.Duration, done bool, err error) {
 	return d, false, nil
 }
 
-// climbBlocks refines the winning streaming configuration's block count by
-// walking the ladder from its current rung while the measured time
-// improves, charged to the shared probe budget. Unlike ClimbBlocks it
-// walks up first and then down, without peeking at both neighbours.
+// climbBlocks refines the winning streaming configuration's block count
+// with the shared ladder climb, seeded at the winner's rung and charged to
+// the search's memoized probe budget.
 func (s *search) climbBlocks() error {
 	if !s.haveBest || !specStreams(s.best.Spec) {
 		return nil
 	}
-	ladder := Ladder()
-	pos := 0
-	for i, n := range ladder {
-		if n == s.best.Blocks {
-			pos = i
-			break
-		}
-		if n < s.best.Blocks {
-			pos = i
-		}
-	}
-	for _, dir := range []int{1, -1} {
-		for p := pos + dir; p >= 0 && p < len(ladder); p += dir {
-			c := s.best
-			c.Blocks = ladder[p]
-			before := s.bestTime
-			d, done, err := s.probe(c)
-			if err != nil {
-				return err
-			}
-			if done || d >= before {
-				break
-			}
-		}
-		// Re-center on the best rung found so the downhill walk starts
-		// from the winner, not the original seed.
-		for i, n := range ladder {
-			if n == s.best.Blocks {
-				pos = i
-			}
-		}
-	}
-	return nil
+	winner := s.best
+	return climb(winner.Blocks, func(n int) (engine.Duration, bool, error) {
+		c := winner
+		c.Blocks = n
+		d, done, err := s.probe(c)
+		return d, !done && err == nil, err
+	})
 }
 
 // Tune runs the cost-model-driven search and returns the winning
