@@ -169,8 +169,7 @@ func main() {
 }
 
 // tuneSource runs the cost-model tuner on the program (probing candidate
-// pipelines by simulated execution on the same platform configuration the
-// real run uses, minus fault injection noise) and returns the winning
+// pipelines by simulated execution on probeConfig) and returns the winning
 // compilation. With a model path the learned predictor persists across
 // invocations.
 func tuneSource(src string, cfg runtime.Config, modelPath string) string {
@@ -181,10 +180,7 @@ func tuneSource(src string, cfg runtime.Config, modelPath string) string {
 			fail(err)
 		}
 	}
-	probeCfg := cfg
-	probeCfg.Faults = fault.Config{}
-	probeCfg.DisableTrace = true
-	d, err := core.TuneSource(&tunepkg.Tuner{Model: model}, flag.Arg(0), src, probeCfg, nil)
+	d, err := core.TuneSource(&tunepkg.Tuner{Model: model}, flag.Arg(0), src, probeConfig(cfg), nil)
 	if err != nil {
 		fail(err)
 	}
@@ -204,10 +200,19 @@ func tuneSource(src string, cfg runtime.Config, modelPath string) string {
 	return res.Source()
 }
 
+// probeConfig is the platform both tuning flags measure candidates on: the
+// run's configuration without fault injection or tracing, so the choice
+// depends on the program, not on the fault seed.
+func probeConfig(cfg runtime.Config) runtime.Config {
+	cfg.Faults = fault.Config{}
+	cfg.DisableTrace = true
+	return cfg
+}
+
 // resolveBlocks parses the -blocks flag. "auto" tunes by measurement
-// through core's shared recipe: one run of the program as written seeds
-// the §III-B model, then tune.ClimbBlocks probes optimized runs at
-// candidate counts and keeps the fastest.
+// through core's shared recipe on probeConfig: one run of the program as
+// written seeds the §III-B model, then tune.ClimbBlocks probes optimized
+// runs at candidate counts and keeps the fastest.
 func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 	if flagVal != "auto" {
 		n, err := strconv.Atoi(flagVal)
@@ -216,7 +221,7 @@ func resolveBlocks(flagVal, src string, cfg runtime.Config) (int, error) {
 		}
 		return n, nil
 	}
-	m, err := core.NewMeasurer(src, cfg, nil)
+	m, err := core.NewMeasurer(src, probeConfig(cfg), nil)
 	if err != nil {
 		return 0, err
 	}

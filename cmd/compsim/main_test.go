@@ -8,6 +8,7 @@ import (
 
 	"comp/internal/cli"
 	"comp/internal/runtime"
+	"comp/internal/sim/fault"
 	"comp/internal/vm"
 )
 
@@ -38,7 +39,8 @@ func TestExecFlagTable(t *testing.T) {
 
 // TestResolveBlocks pins the -blocks flag: an integer passes through,
 // "auto" climbs from the model's seed (64, nearest rung 50) down to 10 on
-// examples/blackscholes.c, anything else is a usage error.
+// examples/blackscholes.c, with or without fault injection on the run,
+// anything else is a usage error.
 func TestResolveBlocks(t *testing.T) {
 	raw, err := os.ReadFile("../../examples/blackscholes.c")
 	if err != nil {
@@ -47,6 +49,11 @@ func TestResolveBlocks(t *testing.T) {
 	src, cfg := string(raw), runtime.DefaultConfig()
 	if n, err := resolveBlocks("auto", src, cfg); err != nil || n != 10 {
 		t.Errorf("resolveBlocks(auto) = %d, %v; want 10", n, err)
+	}
+	faulted := cfg
+	faulted.Faults = fault.Uniform(7, 0.5)
+	if n, err := resolveBlocks("auto", src, faulted); err != nil || n != 10 {
+		t.Errorf("resolveBlocks(auto) with faults = %d, %v; want 10", n, err)
 	}
 	if n, err := resolveBlocks("7", src, cfg); err != nil || n != 7 {
 		t.Errorf("resolveBlocks(7) = %d, %v; want 7", n, err)

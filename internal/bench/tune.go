@@ -152,7 +152,7 @@ func TuneBenchmark(b *workloads.Benchmark, model *tune.Model) (TuneRow, error) {
 		row.Gap = float64(row.TunedNs)/float64(oracleNs) - 1
 	}
 
-	// Warm repeat: a fresh tuner (no decision cache) sharing the model.
+	// Warm repeat: a fresh tuner sharing the model.
 	warm, err := core.TuneSource(&tune.Tuner{Model: model}, b.Name, b.Source, cfg, b.Setup)
 	if err != nil {
 		return row, err

@@ -12,7 +12,6 @@ import (
 	"comp/internal/sim/fault"
 	"comp/internal/sim/machine"
 	"comp/internal/sim/metrics"
-	"comp/internal/tune"
 )
 
 // ErrNoDevices rejects a submission when every device in the fleet has
@@ -42,9 +41,6 @@ type DeviceConfig struct {
 type Config struct {
 	// Devices lists the fleet members; at least one is required.
 	Devices []DeviceConfig
-	// Replicas is the virtual-node count per device on the hash ring
-	// (0 = DefaultReplicas).
-	Replicas int
 	// StealThreshold is the queue depth at which the router redirects a
 	// primary's request to the least-loaded same-signature device. 0 means
 	// half the primary's queue depth (at least 1); negative disables
@@ -68,9 +64,6 @@ type Config struct {
 	// stealing only pairs devices whose plan caches speak the same keys —
 	// tuned fleets stay plan-affine.
 	Tune bool
-	// TuneModel is the shared learned-predictor model for Tune; nil
-	// starts an empty model shared by the fleet's planner.
-	TuneModel *tune.Model
 }
 
 // device is one fleet member at runtime.
@@ -131,8 +124,8 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:     cfg,
 		planner: planner,
-		live:    NewRing(cfg.Replicas),
-		full:    NewRing(cfg.Replicas),
+		live:    NewRing(),
+		full:    NewRing(),
 		devices: map[string]*device{},
 	}
 	for _, dc := range cfg.Devices {
@@ -159,7 +152,6 @@ func New(cfg Config) (*Fleet, error) {
 			Stepped:    cfg.Stepped,
 			Exec:       cfg.Exec,
 			Tune:       cfg.Tune,
-			TuneModel:  cfg.TuneModel,
 		})
 		if err != nil {
 			f.closeAll()

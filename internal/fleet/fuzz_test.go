@@ -33,7 +33,7 @@ func FuzzFleetRoute(f *testing.F) {
 		n := 1 + int(data[0])%8
 		ids := make([]string, n)
 		live := map[string]bool{}
-		r := NewRing(0)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			ids[i] = fmt.Sprintf("h%d/d%d", i/2, i%2)
 			if err := r.Add(ids[i]); err != nil {
@@ -61,7 +61,7 @@ func FuzzFleetRoute(f *testing.F) {
 			}
 			// Rebuild from the sorted live set: placement must not depend
 			// on the op history that produced the membership.
-			fresh := NewRing(0)
+			fresh := NewRing()
 			for _, id := range liveSet(live) {
 				if err := fresh.Add(id); err != nil {
 					t.Fatal(err)

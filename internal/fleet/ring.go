@@ -41,9 +41,8 @@ type ringPoint struct {
 // point is a pure hash of (device ID, replica index). It is not safe for
 // concurrent use; the Fleet serializes access.
 type Ring struct {
-	replicas int
-	points   []ringPoint
-	members  map[string]bool
+	points  []ringPoint
+	members map[string]bool
 }
 
 // DefaultReplicas is the virtual-node count per device. 64 points keep the
@@ -51,12 +50,9 @@ type Ring struct {
 // while the ring stays small enough to rebuild on every membership change.
 const DefaultReplicas = 64
 
-// NewRing returns an empty ring; replicas ≤ 0 selects DefaultReplicas.
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: map[string]bool{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: map[string]bool{}}
 }
 
 // Add places a device's virtual nodes on the ring. Adding an existing
@@ -69,7 +65,7 @@ func (r *Ring) Add(id string) error {
 		return fmt.Errorf("fleet: device %s already on the ring", id)
 	}
 	r.members[id] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < DefaultReplicas; i++ {
 		r.points = append(r.points, ringPoint{hash: pointHash(id, i), id: id})
 	}
 	sort.Slice(r.points, func(a, b int) bool {

@@ -20,7 +20,7 @@ func ringIDs(raw []byte) []string {
 
 func buildRing(t *testing.T, ids []string) *Ring {
 	t.Helper()
-	r := NewRing(0)
+	r := NewRing()
 	for _, id := range ids {
 		if err := r.Add(id); err != nil {
 			t.Fatal(err)
@@ -192,7 +192,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if _, ok := r.Lookup("k"); ok {
 		t.Error("empty ring returned an owner")
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // TuneDecision is the configuration the cost-model tuner (internal/tune)
-// settled on for one compilation: the pipeline spec and streaming
-// parameters it chose, what the cost model predicted the makespan would
+// settled on for one compilation: the pipeline spec and streaming block
+// count it chose, what the cost model predicted the makespan would
 // be, and what the probe actually measured. The pass layer defines the
 // type (rather than internal/tune) so the manager can emit the decision
 // as a structured remark without importing the tuner.
@@ -17,18 +17,16 @@ type TuneDecision struct {
 	// Spec is the chosen pass pipeline (e.g. "merge,regularize,streaming");
 	// it may be empty when the tuner decided no pass is profitable.
 	Spec string `json:"spec"`
-	// Blocks is the chosen streaming block count; Streams the chosen
-	// device-stream count (0 = caller's fixed stream count).
-	Blocks  int `json:"blocks"`
-	Streams int `json:"streams,omitempty"`
+	// Blocks is the chosen streaming block count.
+	Blocks int `json:"blocks"`
 	// PredictedNs is the cost model's makespan estimate for this
 	// configuration; MeasuredNs what the winning simulator probe measured.
 	// Their gap is the model error the remark trail records for training.
 	PredictedNs int64 `json:"predicted_ns"`
 	MeasuredNs  int64 `json:"measured_ns"`
-	// Probes counts the simulator runs the search spent (0 = pure cache or
-	// model hit). Source says where the winning configuration came from:
-	// "cache", "model" (learned predictor), or "search" (cost-ranked probing).
+	// Probes counts the simulator runs the search spent (0 = exact model
+	// hit). Source says where the winning configuration came from: "model"
+	// (learned predictor) or "search" (cost-ranked probing).
 	Probes int    `json:"probes"`
 	Source string `json:"source"`
 }
@@ -59,7 +57,6 @@ func (d TuneDecision) Remark() Remark {
 		Args: map[string]any{
 			"spec":         d.Spec,
 			"blocks":       d.Blocks,
-			"streams":      d.Streams,
 			"predicted_ns": d.PredictedNs,
 			"measured_ns":  d.MeasuredNs,
 			"probes":       d.Probes,

@@ -37,7 +37,7 @@ func parseTuneTestFile(t *testing.T) *minic.File {
 // regardless of how many loops the file has.
 func TestTuneStageEmitsDecisionRemark(t *testing.T) {
 	d := &TuneDecision{
-		Spec: "merge,streaming", Blocks: 20, Streams: 4,
+		Spec: "merge,streaming", Blocks: 20,
 		PredictedNs: 1000, MeasuredNs: 1100, Probes: 3, Source: "search",
 	}
 	m, err := Parse("tune,streaming", Config{Blocks: 20, Tuned: d})
@@ -62,7 +62,7 @@ func TestTuneStageEmitsDecisionRemark(t *testing.T) {
 	if !r.Verdict.Applied() {
 		t.Fatalf("tune remark verdict = %s, want applied", r.Verdict)
 	}
-	for _, k := range []string{"spec", "blocks", "streams", "predicted_ns", "measured_ns", "probes", "source"} {
+	for _, k := range []string{"spec", "blocks", "predicted_ns", "measured_ns", "probes", "source"} {
 		if _, ok := r.Args[k]; !ok {
 			t.Errorf("tune remark missing arg %q: %v", k, r.Args)
 		}

@@ -45,55 +45,23 @@ type Config struct {
 	DisableTrace bool
 }
 
-// RecoveryConfig tunes the runtime's fault-recovery policy.
+// RecoveryConfig switches the runtime's fault-recovery policy. The policy
+// itself is fixed: up to DefaultMaxRetries reissues of a failed DMA or
+// kernel launch (backing off from DefaultBackoff, doubling per attempt)
+// before escalating to a blocking reset, and a DefaultWatchdog bound on
+// how long a hung kernel or stalled wait may hold on.
 type RecoveryConfig struct {
 	// Disabled turns recovery off entirely: any injected fault aborts the
 	// run with an error. Used by the resilience ablation as the baseline.
 	Disabled bool
-	// MaxRetries bounds reissues of a failed DMA or kernel launch before
-	// the runtime escalates to a blocking driver reset (0 = default).
-	MaxRetries int
-	// Backoff is the delay before the first retry; it doubles on each
-	// subsequent attempt (0 = default).
-	Backoff engine.Duration
-	// Watchdog is how long a hung kernel or stalled wait may hold on
-	// before it is aborted (0 = default).
-	Watchdog engine.Duration
 }
 
-// Default recovery policy.
+// Recovery policy.
 const (
 	DefaultMaxRetries                 = 4
 	DefaultBackoff    engine.Duration = 2 * engine.Microsecond
 	DefaultWatchdog   engine.Duration = 100 * engine.Microsecond
 )
-
-// recoveryParams is RecoveryConfig with defaults resolved.
-type recoveryParams struct {
-	disabled   bool
-	maxRetries int
-	backoff    engine.Duration
-	watchdog   engine.Duration
-}
-
-func (c RecoveryConfig) resolve() recoveryParams {
-	p := recoveryParams{
-		disabled:   c.Disabled,
-		maxRetries: c.MaxRetries,
-		backoff:    c.Backoff,
-		watchdog:   c.Watchdog,
-	}
-	if p.maxRetries == 0 {
-		p.maxRetries = DefaultMaxRetries
-	}
-	if p.backoff == 0 {
-		p.backoff = DefaultBackoff
-	}
-	if p.watchdog == 0 {
-		p.watchdog = DefaultWatchdog
-	}
-	return p
-}
 
 // DefaultConfig returns the calibrated evaluation platform (§VI): a Xeon
 // E5-2660 host with 4 worker threads and a Xeon Phi with 200 threads.
@@ -135,15 +103,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("runtime: Config.Faults: %w", err)
-	}
-	if c.Recovery.MaxRetries < 0 {
-		return fmt.Errorf("runtime: Config.Recovery.MaxRetries %d < 0", c.Recovery.MaxRetries)
-	}
-	if c.Recovery.Backoff < 0 {
-		return fmt.Errorf("runtime: Config.Recovery.Backoff %v < 0", c.Recovery.Backoff)
-	}
-	if c.Recovery.Watchdog < 0 {
-		return fmt.Errorf("runtime: Config.Recovery.Watchdog %v < 0", c.Recovery.Watchdog)
 	}
 	return nil
 }
@@ -244,7 +203,6 @@ type Runtime struct {
 
 	// Resilience state.
 	inj           *fault.Injector // nil when no faults are configured
-	rec           recoveryParams
 	mode          offloadMode
 	staging       *devmem.Block // single bounce buffer of the sync mode
 	retries       int64
@@ -333,7 +291,7 @@ func New(cfg Config) *Runtime {
 		r.inj = fault.New(cfg.Faults)
 		r.inj.SetTrace(sim.Trace(), sim.Now)
 		bus.SetInjector(r.inj)
-		launcher.SetFaults(r.inj, r.rec.watchdog)
+		launcher.SetFaults(r.inj, DefaultWatchdog)
 		mem.SetInjector(r.inj)
 	}
 	return r
@@ -378,7 +336,6 @@ func newOnStream(cfg Config, p streamParts) *Runtime {
 		tags:       map[string]*engine.Event{},
 		persist:    map[*minic.Pragma]*kernel.Persistent{},
 		bufs:       map[string]*devmem.Block{},
-		rec:        cfg.Recovery.resolve(),
 	}
 	if p.after != nil {
 		r.hostTail = p.after
@@ -431,7 +388,7 @@ func (r *Runtime) backoffDur(attempt int) engine.Duration {
 	if shift > 20 {
 		shift = 20
 	}
-	return r.rec.backoff << shift
+	return DefaultBackoff << shift
 }
 
 // traceRecovery records a recovery instant on the "runtime" pseudo-resource
@@ -461,10 +418,10 @@ func (r *Runtime) dma(after *engine.Event, dir pcie.Direction, label string, byt
 	if ok {
 		return ev, nil
 	}
-	if r.rec.disabled {
+	if r.cfg.Recovery.Disabled {
 		return nil, fmt.Errorf("runtime: DMA %q failed (injected fault, recovery disabled)", label)
 	}
-	for attempt := 1; attempt <= r.rec.maxRetries; attempt++ {
+	for attempt := 1; attempt <= DefaultMaxRetries; attempt++ {
 		r.retries++
 		r.traceRecovery(ev, "retry:"+label, engine.CatRetry,
 			map[string]any{"op": "dma", "attempt": attempt, "bytes": bytes})
@@ -477,8 +434,8 @@ func (r *Runtime) dma(after *engine.Event, dir pcie.Direction, label string, byt
 	r.traceRecovery(ev, "reset:"+label, engine.CatRetry,
 		map[string]any{"op": "dma-channel-reset", "bytes": bytes})
 	r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-		"DMA %q failed %d retries; escalated to a blocking channel reset", label, r.rec.maxRetries))
-	ready := engine.Delay(r.sim, ev, r.backoffDur(r.rec.maxRetries+1))
+		"DMA %q failed %d retries; escalated to a blocking channel reset", label, DefaultMaxRetries))
+	ready := engine.Delay(r.sim, ev, r.backoffDur(DefaultMaxRetries+1))
 	return r.bus.TransferAfterArgs(ready, dir, label, bytes, r.dmaArgs), nil
 }
 
@@ -492,25 +449,25 @@ func (r *Runtime) launchKernel(ready *engine.Event, label string, dur engine.Dur
 	}
 	ev, out := r.launcher.TryLaunch(ready, label, dur)
 	for attempt := 1; out != kernel.OK; attempt++ {
-		if r.rec.disabled {
+		if r.cfg.Recovery.Disabled {
 			return nil, fmt.Errorf("runtime: kernel %q did not run (injected %v, recovery disabled)", label, out)
 		}
 		if out == kernel.Hang {
 			r.watchdogFires++
 			r.traceRecovery(ev, "watchdog:"+label, engine.CatFault,
-				map[string]any{"op": "kernel-hang-abort", "watchdog": int64(r.rec.watchdog)})
+				map[string]any{"op": "kernel-hang-abort", "watchdog": int64(DefaultWatchdog)})
 			r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-				"watchdog: kernel %q hung; aborted after %v", label, r.rec.watchdog))
+				"watchdog: kernel %q hung; aborted after %v", label, DefaultWatchdog))
 		}
 		r.retries++
 		r.traceRecovery(ev, "retry:"+label, engine.CatRetry,
 			map[string]any{"op": "launch", "attempt": attempt})
 		next := engine.Delay(r.sim, ev, r.backoffDur(attempt))
-		if attempt > r.rec.maxRetries {
+		if attempt > DefaultMaxRetries {
 			r.traceRecovery(ev, "reset:"+label, engine.CatRetry,
 				map[string]any{"op": "device-reset"})
 			r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-				"kernel %q failed %d retries; escalated to a blocking device reset", label, r.rec.maxRetries))
+				"kernel %q failed %d retries; escalated to a blocking device reset", label, DefaultMaxRetries))
 			return r.launcher.Launch(next, label, dur), nil
 		}
 		ev, out = r.launcher.TryLaunch(next, label, dur)
@@ -526,21 +483,21 @@ func (r *Runtime) runBlock(p *kernel.Persistent, ready *engine.Event, label stri
 	}
 	ev, out := p.TryRunBlock(ready, label, dur)
 	for attempt := 1; out != kernel.OK; attempt++ {
-		if r.rec.disabled {
+		if r.cfg.Recovery.Disabled {
 			return nil, fmt.Errorf("runtime: persistent block %q did not run (injected %v, recovery disabled)", label, out)
 		}
 		r.watchdogFires++
 		r.traceRecovery(ev, "watchdog:"+label, engine.CatFault,
-			map[string]any{"op": "block-hang-abort", "watchdog": int64(r.rec.watchdog)})
+			map[string]any{"op": "block-hang-abort", "watchdog": int64(DefaultWatchdog)})
 		r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-			"watchdog: persistent block %q hung; aborted after %v", label, r.rec.watchdog))
+			"watchdog: persistent block %q hung; aborted after %v", label, DefaultWatchdog))
 		r.retries++
 		r.traceRecovery(ev, "retry:"+label, engine.CatRetry,
 			map[string]any{"op": "block", "attempt": attempt})
 		next := engine.Delay(r.sim, ev, r.backoffDur(attempt))
-		if attempt > r.rec.maxRetries {
+		if attempt > DefaultMaxRetries {
 			r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-				"block %q failed %d retries; escalated to a blocking re-signal", label, r.rec.maxRetries))
+				"block %q failed %d retries; escalated to a blocking re-signal", label, DefaultMaxRetries))
 			return p.RunBlock(next, label, dur), nil
 		}
 		ev, out = p.TryRunBlock(next, label, dur)
@@ -552,10 +509,10 @@ func (r *Runtime) runBlock(p *kernel.Persistent, ready *engine.Event, label stri
 // (capacity exhaustion is not retried — it cannot succeed).
 func (r *Runtime) allocBlock(size uint64, label string) (*devmem.Block, error) {
 	b, err := r.mem.Alloc(size, label)
-	if err == nil || r.rec.disabled || !errors.Is(err, devmem.ErrFaultInjected) {
+	if err == nil || r.cfg.Recovery.Disabled || !errors.Is(err, devmem.ErrFaultInjected) {
 		return b, err
 	}
-	for attempt := 1; attempt <= r.rec.maxRetries; attempt++ {
+	for attempt := 1; attempt <= DefaultMaxRetries; attempt++ {
 		r.retries++
 		if b, err = r.mem.Alloc(size, label); err == nil || !errors.Is(err, devmem.ErrFaultInjected) {
 			return b, err
@@ -766,7 +723,7 @@ func (r *Runtime) Offload(op *interp.OffloadOp) error {
 		if err == nil {
 			return nil
 		}
-		if r.rec.disabled || !allocFailure(err) {
+		if r.cfg.Recovery.Disabled || !allocFailure(err) {
 			return err
 		}
 		r.degrade(err)
@@ -947,7 +904,7 @@ func (r *Runtime) Transfer(op *interp.TransferOp) error {
 		if err == nil {
 			return nil
 		}
-		if r.rec.disabled || !allocFailure(err) {
+		if r.cfg.Recovery.Disabled || !allocFailure(err) {
 			return err
 		}
 		r.degrade(err)
@@ -1093,7 +1050,7 @@ func (r *Runtime) settle(end engine.Time) engine.Time {
 // reported as DeadlockWarnings — recovery does not make the program
 // correct, it makes the run finish.
 func (r *Runtime) recoverStalls(end engine.Time) engine.Time {
-	if r.rec.disabled {
+	if r.cfg.Recovery.Disabled {
 		return end
 	}
 	for _, k := range r.kernels {
@@ -1102,20 +1059,20 @@ func (r *Runtime) recoverStalls(end engine.Time) engine.Time {
 		}
 		r.watchdogFires++
 		rerun := regionTime(r.cfg.CPU, k.work, r.cfg.CPUThreads)
-		end += engine.Time(r.rec.watchdog + rerun)
+		end += engine.Time(DefaultWatchdog + rerun)
 		r.sim.Trace().Instant("runtime", "watchdog:"+k.label, engine.CatFault, end,
 			map[string]any{"op": "stall-rerun-on-host", "rerun": int64(rerun)})
 		r.faultWarns = append(r.faultWarns, fmt.Sprintf(
 			"watchdog: kernel %s stalled on a signal that never fired; aborted after %v and re-run on the host (%v)",
-			k.label, r.rec.watchdog, rerun))
+			k.label, DefaultWatchdog, rerun))
 	}
 	if !r.hostTail.Fired() {
 		r.watchdogFires++
-		end += engine.Time(r.rec.watchdog)
+		end += engine.Time(DefaultWatchdog)
 		r.sim.Trace().Instant("runtime", "watchdog:host-wait", engine.CatFault, end,
 			map[string]any{"op": "stall-abandoned"})
 		r.faultWarns = append(r.faultWarns, fmt.Sprintf(
-			"watchdog: host wait stalled; abandoned after %v", r.rec.watchdog))
+			"watchdog: host wait stalled; abandoned after %v", DefaultWatchdog))
 	}
 	return end
 }

@@ -403,11 +403,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad6.Validate(); err == nil {
 		t.Fatal("out-of-range fault rate passed validation")
 	}
-	bad7 := cfg
-	bad7.Recovery.MaxRetries = -1
-	if err := bad7.Validate(); err == nil {
-		t.Fatal("negative MaxRetries passed validation")
-	}
 }
 
 func TestFinishTwicePanics(t *testing.T) {

@@ -211,7 +211,6 @@ func (s *Scheduler) Run() (SchedResult, error) {
 	}
 	mem := devmem.New(memBytes, s.cfg.MIC.OSReservedBytes)
 	mem.SetTrace(sim.Trace(), sim.Now)
-	rec := s.cfg.Recovery.resolve()
 
 	streams := make([]*stream, s.streams)
 	computes := make([]*engine.Resource, s.streams)
@@ -232,7 +231,7 @@ func (s *Scheduler) Run() (SchedResult, error) {
 			fcfg.Seed += int64(i) * streamSeedStride
 			st.inj = fault.New(fcfg)
 			st.inj.SetTrace(sim.Trace(), sim.Now)
-			st.launcher.SetFaults(st.inj, rec.watchdog)
+			st.launcher.SetFaults(st.inj, DefaultWatchdog)
 		}
 		streams[i] = st
 		computes[i] = st.launcher.Resource()

@@ -15,34 +15,6 @@ import (
 	"comp/internal/sim/engine"
 )
 
-// Profile summarizes the per-iteration behaviour of a loop body as derived
-// by static analysis (see internal/analysis). It is the interface between
-// the compiler and the performance model.
-type Profile struct {
-	// FlopsPerIter counts arithmetic operations per iteration; transcendental
-	// calls are pre-weighted by the analysis.
-	FlopsPerIter float64
-	// BytesPerIter counts bytes of memory traffic per iteration.
-	BytesPerIter float64
-	// Vectorizable reports whether the loop passes the vectorizer's checks
-	// (unit-stride accesses, no irregular gathers, no loop-carried deps).
-	Vectorizable bool
-	// Irregular reports whether the loop performs gathered/strided accesses
-	// that touch non-contiguous cache lines.
-	Irregular bool
-	// IrregularFrac is the fraction of BytesPerIter moved by irregular
-	// accesses (only meaningful when Irregular is true).
-	IrregularFrac float64
-}
-
-// Scaled returns a copy of p with flops and bytes multiplied by f; used when
-// a transformation splits or fuses loop bodies.
-func (p Profile) Scaled(f float64) Profile {
-	p.FlopsPerIter *= f
-	p.BytesPerIter *= f
-	return p
-}
-
 // Config describes one processor (host CPU or coprocessor).
 type Config struct {
 	Name           string
@@ -195,31 +167,10 @@ func (c Config) effectiveBandwidthAt(irregularFrac float64, cores int) float64 {
 	return peak / denom
 }
 
-// LoopTime estimates the wall time of iters loop iterations with profile p
-// using the given number of software threads. The estimate is a roofline:
-// max(compute, memory), with vectorization gating the compute leg.
-func (c Config) LoopTime(p Profile, iters int64, threads int) engine.Duration {
-	if iters <= 0 {
-		return 0
-	}
-	irr := 0.0
-	if p.Irregular {
-		irr = p.IrregularFrac
-		if irr == 0 {
-			irr = 1
-		}
-	}
-	return c.WorkTime(
-		p.FlopsPerIter*float64(iters),
-		p.BytesPerIter*float64(iters),
-		irr,
-		p.Vectorizable && !p.Irregular,
-		threads,
-	)
-}
-
-// WorkTime is the totals form of LoopTime, used with dynamically profiled
-// operation and traffic counts.
+// WorkTime estimates the wall time of a loop from its dynamically profiled
+// operation and traffic totals using the given number of software threads.
+// The estimate is a roofline: max(compute, memory), with vectorization
+// gating the compute leg and irregularFrac derating the bandwidth.
 func (c Config) WorkTime(flops, bytes, irregularFrac float64, vectorizable bool, threads int) engine.Duration {
 	tp := c.ScalarThroughput(threads)
 	if vectorizable {

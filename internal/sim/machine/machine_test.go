@@ -67,9 +67,9 @@ func TestMICParallelFasterThanCPUWhenVectorizable(t *testing.T) {
 	// The point of offloading: a fully parallel, vectorizable loop should
 	// be faster on 200 MIC threads than on 4 CPU threads.
 	cpu, mic := XeonE5(), XeonPhi()
-	p := Profile{FlopsPerIter: 200, BytesPerIter: 8, Vectorizable: true}
-	ct := cpu.LoopTime(p, 1<<22, DefaultCPUThreads)
-	mt := mic.LoopTime(p, 1<<22, DefaultMICThreads)
+	flops, bytes := 200.0*(1<<22), 8.0*(1<<22)
+	ct := cpu.WorkTime(flops, bytes, 0, true, DefaultCPUThreads)
+	mt := mic.WorkTime(flops, bytes, 0, true, DefaultMICThreads)
 	if mt >= ct {
 		t.Fatalf("MIC parallel %v should beat CPU parallel %v", mt, ct)
 	}
@@ -77,13 +77,9 @@ func TestMICParallelFasterThanCPUWhenVectorizable(t *testing.T) {
 
 func TestIrregularDisablesVectorSpeedup(t *testing.T) {
 	mic := XeonPhi()
-	reg := Profile{FlopsPerIter: 50, BytesPerIter: 16, Vectorizable: true}
-	irr := reg
-	irr.Vectorizable = false
-	irr.Irregular = true
-	irr.IrregularFrac = 1
-	tr := mic.LoopTime(reg, 1<<20, DefaultMICThreads)
-	ti := mic.LoopTime(irr, 1<<20, DefaultMICThreads)
+	flops, bytes := 50.0*(1<<20), 16.0*(1<<20)
+	tr := mic.WorkTime(flops, bytes, 0, true, DefaultMICThreads)
+	ti := mic.WorkTime(flops, bytes, 1, false, DefaultMICThreads)
 	if ti <= tr {
 		t.Fatalf("irregular loop %v should be slower than regular %v", ti, tr)
 	}
@@ -121,16 +117,15 @@ func TestEffectiveBandwidthMonotone(t *testing.T) {
 }
 
 func TestLoopTimeZeroIters(t *testing.T) {
-	if got := XeonPhi().LoopTime(Profile{FlopsPerIter: 10}, 0, 1); got != 0 {
+	if got := XeonPhi().WorkTime(0, 0, 0, false, 1); got != 0 {
 		t.Errorf("zero iters time = %v, want 0", got)
 	}
 }
 
 func TestLoopTimeScalesWithIterations(t *testing.T) {
 	c := XeonPhi()
-	p := Profile{FlopsPerIter: 100, BytesPerIter: 8, Vectorizable: true}
-	t1 := c.LoopTime(p, 1e6, 200)
-	t2 := c.LoopTime(p, 2e6, 200)
+	t1 := c.WorkTime(100*1e6, 8*1e6, 0, true, 200)
+	t2 := c.WorkTime(100*2e6, 8*2e6, 0, true, 200)
 	ratio := float64(t2) / float64(t1)
 	if ratio < 1.99 || ratio > 2.01 {
 		t.Fatalf("doubling iterations scaled time by %v, want 2.0", ratio)
@@ -139,10 +134,9 @@ func TestLoopTimeScalesWithIterations(t *testing.T) {
 
 func TestMoreThreadsNeverSlower(t *testing.T) {
 	c := XeonPhi()
-	p := Profile{FlopsPerIter: 500, BytesPerIter: 4, Vectorizable: false}
-	prev := c.LoopTime(p, 1e6, 1)
+	prev := c.WorkTime(500*1e6, 4*1e6, 0, false, 1)
 	for _, th := range []int{4, 16, 60, 120, 240, 400} {
-		cur := c.LoopTime(p, 1e6, th)
+		cur := c.WorkTime(500*1e6, 4*1e6, 0, false, th)
 		if cur > prev {
 			t.Fatalf("time increased from %v to %v at %d threads", prev, cur, th)
 		}
@@ -152,9 +146,8 @@ func TestMoreThreadsNeverSlower(t *testing.T) {
 
 func TestThreadsBeyondHardwareSaturate(t *testing.T) {
 	c := XeonPhi()
-	p := Profile{FlopsPerIter: 500, BytesPerIter: 4}
-	at240 := c.LoopTime(p, 1e6, 240)
-	at999 := c.LoopTime(p, 1e6, 999)
+	at240 := c.WorkTime(500*1e6, 4*1e6, 0, false, 240)
+	at999 := c.WorkTime(500*1e6, 4*1e6, 0, false, 999)
 	if at240 != at999 {
 		t.Fatalf("oversubscription changed time: %v vs %v", at240, at999)
 	}
@@ -169,24 +162,10 @@ func TestSerialTimeLinear(t *testing.T) {
 	}
 }
 
-func TestProfileScaled(t *testing.T) {
-	p := Profile{FlopsPerIter: 10, BytesPerIter: 4, Vectorizable: true}
-	q := p.Scaled(0.5)
-	if q.FlopsPerIter != 5 || q.BytesPerIter != 2 || !q.Vectorizable {
-		t.Fatalf("Scaled = %+v", q)
-	}
-	if p.FlopsPerIter != 10 {
-		t.Fatal("Scaled mutated receiver")
-	}
-}
-
 func TestVectorizationSpeedsUpComputeBoundLoop(t *testing.T) {
 	c := XeonPhi()
-	pv := Profile{FlopsPerIter: 1000, BytesPerIter: 1, Vectorizable: true}
-	ps := pv
-	ps.Vectorizable = false
-	tv := c.LoopTime(pv, 1e6, 200)
-	ts := c.LoopTime(ps, 1e6, 200)
+	tv := c.WorkTime(1000*1e6, 1*1e6, 0, true, 200)
+	ts := c.WorkTime(1000*1e6, 1*1e6, 0, false, 200)
 	ratio := float64(ts) / float64(tv)
 	// The scalar path is additionally derated by ScalarEff (in-order
 	// penalty), so the observed gap is lanes*vectorEff/scalarEff.
@@ -200,9 +179,9 @@ func TestVectorizationSpeedsUpComputeBoundLoop(t *testing.T) {
 func TestLoopTimeMonotoneProperty(t *testing.T) {
 	c := XeonPhi()
 	f := func(flops, bytes uint16, extraF, extraB uint8, vec bool) bool {
-		p1 := Profile{FlopsPerIter: float64(flops), BytesPerIter: float64(bytes), Vectorizable: vec}
-		p2 := Profile{FlopsPerIter: float64(flops) + float64(extraF), BytesPerIter: float64(bytes) + float64(extraB), Vectorizable: vec}
-		return c.LoopTime(p2, 1e5, 200) >= c.LoopTime(p1, 1e5, 200)
+		f1, b1 := float64(flops)*1e5, float64(bytes)*1e5
+		f2, b2 := (float64(flops)+float64(extraF))*1e5, (float64(bytes)+float64(extraB))*1e5
+		return c.WorkTime(f2, b2, 0, vec, 200) >= c.WorkTime(f1, b1, 0, vec, 200)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -213,11 +192,10 @@ func TestLoopTimeMonotoneProperty(t *testing.T) {
 func TestRooflineLowerBoundProperty(t *testing.T) {
 	c := XeonE5()
 	f := func(flopsRaw, bytesRaw uint16) bool {
-		p := Profile{FlopsPerIter: float64(flopsRaw) + 1, BytesPerIter: float64(bytesRaw) + 1}
-		iters := int64(1e5)
-		full := c.LoopTime(p, iters, 4)
-		computeOnly := c.LoopTime(Profile{FlopsPerIter: p.FlopsPerIter}, iters, 4)
-		memOnly := c.LoopTime(Profile{BytesPerIter: p.BytesPerIter}, iters, 4)
+		flops, bytes := (float64(flopsRaw)+1)*1e5, (float64(bytesRaw)+1)*1e5
+		full := c.WorkTime(flops, bytes, 0, false, 4)
+		computeOnly := c.WorkTime(flops, 0, 0, false, 4)
+		memOnly := c.WorkTime(0, bytes, 0, false, 4)
 		return full >= computeOnly && full >= memOnly
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -99,9 +99,8 @@ func TestSearchClimbMatchesClimbBlocks(t *testing.T) {
 
 	var searchOrder []int
 	s := &search{
-		model:   &CostModel{},
-		streams: []int{0},
-		probed:  map[Config]engine.Duration{},
+		model:  &CostModel{},
+		probed: map[Config]engine.Duration{},
 		measure: func(c Config) (engine.Duration, error) {
 			searchOrder = append(searchOrder, c.Blocks)
 			return cost(c.Blocks), nil

@@ -10,16 +10,12 @@ import (
 )
 
 // Config is one candidate configuration the tuner can select: a pass
-// pipeline spec (empty = compile unoptimized), the streaming block count
-// (meaningful only when the spec streams), and the device-stream count for
-// batched serving (0 = leave the caller's stream count alone).
+// pipeline spec (empty = compile unoptimized) and the streaming block count
+// (meaningful only when the spec streams).
 type Config struct {
-	Spec    string `json:"spec"`
-	Blocks  int    `json:"blocks"`
-	Streams int    `json:"streams,omitempty"`
+	Spec   string `json:"spec"`
+	Blocks int    `json:"blocks"`
 }
-
-func (c Config) streams() bool { return specStreams(c.Spec) }
 
 func specStreams(spec string) bool {
 	for _, name := range strings.Split(spec, ",") {
@@ -64,9 +60,8 @@ func (b Baseline) Blocks() int {
 }
 
 // CostModel prices candidate configurations without running them. It
-// starts from a measured baseline (D, C, K of one unoptimized run),
-// rescales it when the target machine differs from the one the baseline
-// was measured on, then walks the candidate spec in pipeline order
+// starts from a measured baseline (D, C, K of one unoptimized run on the
+// target machine), then walks the candidate spec in pipeline order
 // applying each pass's analytic effect: merge collapses launches,
 // regularization lifts the bandwidth derating and unlocks vectorization at
 // the price of host-side gathers, streaming replaces the serial
@@ -78,103 +73,18 @@ func (b Baseline) Blocks() int {
 type CostModel struct {
 	Workload Features
 	Baseline Baseline
-	// Target is the machine being tuned for; Base the machine the
-	// baseline was measured on (zero Name = same as target).
+	// Target is the machine being tuned for.
 	Target runtime.Config
-	Base   runtime.Config
-	// Requests is the batch size stream pricing assumes (0 = 1: a single
-	// compilation, stream count has no effect).
-	Requests int
-}
-
-// scaled returns the baseline D, C, K in nanoseconds rescaled from the
-// measurement machine to the target: transfers by PCIe bandwidth, compute
-// by the roofline-dominant throughput ratio, launches by the machines'
-// launch overheads.
-func (m *CostModel) scaled() (d, c, k float64) {
-	d = float64(m.Baseline.Transfer)
-	c = float64(m.Baseline.Compute)
-	k = float64(m.Baseline.Launch)
-	if m.Base.MIC.Name == "" || m.Base.MIC.Name == m.Target.MIC.Name {
-		return d, c, k
-	}
-	if bw, tw := m.Base.PCIe.BandwidthGBs, m.Target.PCIe.BandwidthGBs; bw > 0 && tw > 0 {
-		d *= bw / tw
-	}
-	// Compute scales by whichever roofline leg dominates: the blended
-	// scalar/vector throughput or the irregularity-derated bandwidth.
-	bt := m.devThroughput(m.Base)
-	tt := m.devThroughput(m.Target)
-	bb := m.Base.MIC.EffectiveBandwidth(m.Workload.Irregular)
-	tb := m.Target.MIC.EffectiveBandwidth(m.Workload.Irregular)
-	ratio := 1.0
-	if bt > 0 && tt > 0 {
-		ratio = bt / tt
-	}
-	if bb > 0 && tb > 0 {
-		if r := bb / tb; r > ratio {
-			ratio = r
-		}
-	}
-	c *= ratio
-	if bl, tl := m.Base.MIC.LaunchOverhead, m.Target.MIC.LaunchOverhead; bl > 0 && tl > 0 {
-		k *= float64(tl) / float64(bl)
-	}
-	return d, c, k
-}
-
-// devThroughput is the device compute throughput blended by the
-// workload's vectorizable fraction.
-func (m *CostModel) devThroughput(cfg runtime.Config) float64 {
-	threads := cfg.MICThreads
-	if threads <= 0 {
-		threads = cfg.MIC.MaxThreads()
-	}
-	base := cfg.MIC.ScalarThroughput(threads)
-	vf := m.Workload.Vectorizable
-	vec := float64(cfg.MIC.VectorLanes) * cfg.MIC.VectorEff
-	return base * (vf*vec + (1-vf)*cfg.MIC.ScalarEff)
-}
-
-// Predict returns the modeled makespan of one compilation under c.
-func (m *CostModel) Predict(c Config) engine.Duration {
-	t, _ := m.predict(c)
-	return t
-}
-
-// PredictBatch returns the modeled makespan of serving the model's
-// Requests under c with c.Streams concurrent device streams. With one
-// request (or no stream choice) it reduces to Predict.
-func (m *CostModel) PredictBatch(c Config) engine.Duration {
-	single, d := m.predict(c)
-	r := m.Requests
-	if r <= 1 {
-		return single
-	}
-	s := c.Streams
-	if s <= 0 {
-		s = 1
-	}
-	// Transfers serialize on the shared PCIe link; compute spreads across
-	// stream slices of the device. The batch finishes no sooner than
-	// either resource allows, with one leading transfer before the first
-	// compute can start.
-	transfer := float64(r) * d
-	compute := float64(r) * (float64(single) - d) / float64(s)
-	t := transfer
-	if compute > t {
-		t = compute
-	}
-	return engine.Duration(t + d)
 }
 
 // components walks the spec in pipeline order, tracking what has been
 // applied, and returns the streamed transfer/compute shares (ds, cs), the
 // launch overhead k, the cost that does not depend on the block count
-// (rest), the full transfer time d, and whether the spec streams anything.
-func (m *CostModel) components(c Config) (ds, cs, k, rest, d float64, streamed bool) {
-	var comp float64
-	d, comp, k = m.scaled()
+// (rest), and whether the spec streams anything.
+func (m *CostModel) components(c Config) (ds, cs, k, rest float64, streamed bool) {
+	d := float64(m.Baseline.Transfer)
+	comp := float64(m.Baseline.Compute)
+	k = float64(m.Baseline.Launch)
 	launches := float64(m.Baseline.Launches)
 	w := m.Workload
 
@@ -230,27 +140,26 @@ func (m *CostModel) components(c Config) (ds, cs, k, rest, d float64, streamed b
 	}
 
 	if !streamed {
-		return 0, 0, k, d + comp + k*launches + gather, d, false
+		return 0, 0, k, d + comp + k*launches + gather, false
 	}
 	ds = d * streamFrac
 	cs = comp * streamFrac
 	rest = d*(1-streamFrac) + comp*(1-streamFrac) + k*launches*(1-streamFrac)
-	return ds, cs, k, rest, d, true
+	return ds, cs, k, rest, true
 }
 
-// predict returns the modeled makespan of one compilation under c plus
-// the transfer time (the batch model needs that component separately).
-func (m *CostModel) predict(c Config) (engine.Duration, float64) {
-	ds, cs, k, rest, d, streamed := m.components(c)
+// Predict returns the modeled makespan of one compilation under c.
+func (m *CostModel) Predict(c Config) engine.Duration {
+	ds, cs, k, rest, streamed := m.components(c)
 	if !streamed {
-		return engine.Duration(rest), d
+		return engine.Duration(rest)
 	}
 	n := c.Blocks
 	if n <= 0 {
 		n = transform.DefaultBlocks
 	}
 	t := float64(transform.ModelTime(engine.Duration(ds), engine.Duration(cs), engine.Duration(k), n))
-	return engine.Duration(t + rest), d
+	return engine.Duration(t + rest)
 }
 
 // BestBlocks returns the block count minimizing the predicted cost of c
@@ -261,30 +170,9 @@ func (m *CostModel) BestBlocks(c Config) int {
 	best, bestT := ladder[0], engine.Duration(math.MaxInt64)
 	for _, n := range ladder {
 		c.Blocks = n
-		if t := m.PredictBatch(c); t < bestT {
+		if t := m.Predict(c); t < bestT {
 			best, bestT = n, t
 		}
 	}
 	return best
-}
-
-// Knee returns the block count past which the predicted cost of c is
-// non-decreasing in blocks: the larger of the transfer-bound knee
-// (Ds−Cs)/K — where per-block compute stops hiding under transfer — and
-// the compute-bound optimum sqrt(Ds/K). Past both, every extra block only
-// adds launch overhead. Non-streaming specs have no knee (returns 1:
-// predicted cost is constant in blocks).
-func (m *CostModel) Knee(c Config) int {
-	ds, cs, k, _, _, streamed := m.components(c)
-	if !streamed || k <= 0 {
-		return 1
-	}
-	knee := (ds - cs) / k
-	if s := math.Sqrt(ds / k); s > knee {
-		knee = s
-	}
-	if knee < 1 {
-		return 1
-	}
-	return int(math.Ceil(knee))
 }

@@ -1,16 +1,15 @@
 // Package tune is the cost-model-driven configuration search that unifies
 // the pass pipeline and the block-count climb. It prices candidate
-// configurations — pipeline spec × streaming block count × device-stream
-// count — with an analytic cost model fed by the pass manager's memoized
-// analysis cache, spends a bounded simulator-probe budget only on the
-// top-ranked candidates, and seeds the search from a learned
-// nearest-neighbour predictor trained on past decisions so repeat and
-// near-miss workloads converge in 0–2 probes.
+// configurations — pipeline spec × streaming block count — with an
+// analytic cost model fed by the pass manager's memoized analysis cache,
+// spends a bounded simulator-probe budget only on the top-ranked
+// candidates, and seeds the search from a learned nearest-neighbour
+// predictor trained on past decisions so repeat and near-miss workloads
+// converge in 0–2 probes.
 package tune
 
 import (
 	"math"
-	"sort"
 
 	"comp/internal/analysis"
 	"comp/internal/minic"
@@ -259,18 +258,4 @@ func Distance(aw Features, ap Platform, bw Features, bp Platform) float64 {
 		sum += (d / den) * (d / den)
 	}
 	return math.Sqrt(sum / float64(len(av)))
-}
-
-// sortConfigs orders configurations deterministically (spec, streams,
-// blocks) for stable candidate enumeration.
-func sortConfigs(cs []Config) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Spec != cs[j].Spec {
-			return cs[i].Spec < cs[j].Spec
-		}
-		if cs[i].Streams != cs[j].Streams {
-			return cs[i].Streams < cs[j].Streams
-		}
-		return cs[i].Blocks < cs[j].Blocks
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"comp/internal/pass"
 	"comp/internal/runtime"
@@ -21,24 +20,16 @@ const warmRadius = 0.25
 const coldSpecProbes = 3
 
 // Request describes one tuning problem: the workload's features and
-// baseline profile, the machine to tune for, the candidate space, and the
-// measurement oracle.
+// baseline profile, the machine to tune for, and the measurement oracle.
+// The candidate pipelines are DefaultSpecs of the workload features.
 type Request struct {
-	// Key identifies the workload for caching and model samples.
+	// Key identifies the workload in model samples.
 	Key string
 	// Workload and Baseline feed the cost model; Platform is the machine
-	// configuration being tuned for.
+	// configuration being tuned for (and the one the baseline ran on).
 	Workload Features
 	Baseline Baseline
 	Platform runtime.Config
-	// Specs are the candidate pipeline specs ("" = compile unoptimized);
-	// nil derives them from the workload features via DefaultSpecs.
-	Specs []string
-	// Streams are the candidate device-stream counts for batched serving
-	// (nil = {0}: stream count is not the tuner's to choose).
-	Streams []int
-	// Requests is the batch size stream pricing assumes (0 = 1).
-	Requests int
 	// Measure runs one candidate configuration and returns its makespan.
 	Measure func(Config) (engine.Duration, error)
 }
@@ -55,21 +46,17 @@ type Decision struct {
 	pass.TuneDecision
 	// Config is the winning configuration in the tuner's own terms.
 	Config Config
-	// Cached reports a per-tuner cache hit (no new probes at all).
-	Cached bool
 	// History lists the probes spent, in order.
 	History []Probe
 }
 
 // Tuner is the unified configuration search. It spends at most
-// DefaultMaxProbes simulator probes per decision. It is safe for
-// concurrent use; decisions are cached per (key, platform).
+// DefaultMaxProbes simulator probes per decision and keeps no state of its
+// own between decisions, so it is safe for concurrent use (the Model takes
+// its own lock).
 type Tuner struct {
 	// Model is the learned predictor seeding the search; nil tunes cold.
 	Model *Model
-
-	mu    sync.Mutex
-	cache map[string]Decision
 }
 
 // DefaultSpecs derives the candidate pipeline specs from the workload
@@ -109,14 +96,9 @@ func DefaultSpecs(w Features) []string {
 	return specs
 }
 
-func cacheKey(req Request) string {
-	return fmt.Sprintf("%s|%s|%s|r%d", req.Key, req.Platform.MIC.Name, req.Platform.CPU.Name, req.Requests)
-}
-
 // search carries the shared state of one Tune call.
 type search struct {
 	model   *CostModel
-	streams []int
 	measure func(Config) (engine.Duration, error)
 
 	probed  map[Config]engine.Duration
@@ -129,23 +111,12 @@ type search struct {
 
 // normalize canonicalizes a candidate so the probe memo never pays twice
 // for configurations the runtime cannot tell apart: blocks are meaningless
-// without streaming, stream counts outside the candidate set collapse to
-// the caller's fixed count.
+// without streaming, and an unset block count takes the model's best.
 func (s *search) normalize(c Config) Config {
 	if !specStreams(c.Spec) {
 		c.Blocks = 0
 	} else if c.Blocks <= 0 {
 		c.Blocks = s.model.BestBlocks(c)
-	}
-	ok := false
-	for _, n := range s.streams {
-		if c.Streams == n {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		c.Streams = s.streams[0]
 	}
 	return c
 }
@@ -194,53 +165,25 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 	if req.Measure == nil {
 		return Decision{}, fmt.Errorf("tune: request needs a Measure function")
 	}
-	key := cacheKey(req)
-	t.mu.Lock()
-	if d, ok := t.cache[key]; ok {
-		t.mu.Unlock()
-		d.Cached = true
-		d.Probes = 0
-		d.Source = "cache"
-		d.History = nil
-		return d, nil
-	}
-	t.mu.Unlock()
-
-	streams := req.Streams
-	if len(streams) == 0 {
-		streams = []int{0}
-	}
-	specs := req.Specs
-	if specs == nil {
-		specs = DefaultSpecs(req.Workload)
-	}
-	m := &CostModel{
-		Workload: req.Workload,
-		Baseline: req.Baseline,
-		Target:   req.Platform,
-		Requests: req.Requests,
-	}
+	m := &CostModel{Workload: req.Workload, Baseline: req.Baseline, Target: req.Platform}
 	s := &search{
 		model:   m,
-		streams: streams,
 		measure: req.Measure,
 		probed:  map[Config]engine.Duration{},
 	}
 
 	source := "search"
-	warm, err := t.warmStart(req, m, s)
+	warm, err := t.warmStart(req, s)
 	if err != nil {
 		return Decision{}, err
 	}
 	switch warm {
-	case warmExact:
-		// Exact repeat from the persisted model: trust the remembered
-		// measurement outright, zero probes.
-		source = "model"
-	case warmHit:
+	case warmExact, warmHit:
+		// An exact repeat trusts the remembered measurement outright (zero
+		// probes); a hit on the same workload probed at most two.
 		source = "model"
 	default:
-		if err := t.coldSearch(specs, m, s); err != nil {
+		if err := s.coldSearch(DefaultSpecs(req.Workload)); err != nil {
 			return Decision{}, err
 		}
 	}
@@ -249,8 +192,7 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 		TuneDecision: pass.TuneDecision{
 			Spec:        s.best.Spec,
 			Blocks:      s.best.Blocks,
-			Streams:     s.best.Streams,
-			PredictedNs: int64(m.PredictBatch(s.best)),
+			PredictedNs: int64(m.Predict(s.best)),
 			MeasuredNs:  int64(s.bestTime),
 			Probes:      len(s.history),
 			Source:      source,
@@ -267,12 +209,6 @@ func (t *Tuner) Tune(req Request) (Decision, error) {
 			MeasuredNs: int64(s.bestTime),
 		})
 	}
-	t.mu.Lock()
-	if t.cache == nil {
-		t.cache = map[string]Decision{}
-	}
-	t.cache[key] = d
-	t.mu.Unlock()
 	return d, nil
 }
 
@@ -296,7 +232,7 @@ const (
 // features do not guarantee the same winning pipeline (a regularization
 // workload can sit within the radius of a pure streaming one), so the
 // neighbour's answer is a head start, never a verdict.
-func (t *Tuner) warmStart(req Request, m *CostModel, s *search) (warmOutcome, error) {
+func (t *Tuner) warmStart(req Request, s *search) (warmOutcome, error) {
 	if t.Model == nil {
 		return warmMiss, nil
 	}
@@ -312,7 +248,7 @@ func (t *Tuner) warmStart(req Request, m *CostModel, s *search) (warmOutcome, er
 	}
 	repriced := sample.Config
 	if specStreams(repriced.Spec) {
-		repriced.Blocks = m.BestBlocks(repriced)
+		repriced.Blocks = s.model.BestBlocks(repriced)
 	}
 	if _, _, err := s.probe(repriced); err != nil {
 		return warmMiss, err
@@ -329,54 +265,29 @@ func (t *Tuner) warmStart(req Request, m *CostModel, s *search) (warmOutcome, er
 	return warmHit, nil
 }
 
-// coldSearch is the full cost-ranked search: price every candidate, probe
-// the top-ranked distinct specs (always including the canonical default
-// when it is a candidate — the paper's profitable order earns its slot),
-// then spend the remaining budget hill-climbing the winner's block count.
-func (t *Tuner) coldSearch(specs []string, m *CostModel, s *search) error {
-	var cands []Config
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if seen[spec] {
-			continue
-		}
-		seen[spec] = true
-		for _, streams := range s.streams {
-			c := Config{Spec: spec, Streams: streams}
-			cands = append(cands, s.normalize(c))
-		}
+// coldSearch is the full cost-ranked search: price every candidate spec,
+// probe the top-ranked ones (always including the canonical default when
+// it is a candidate — the paper's profitable order earns its slot), then
+// spend the remaining budget hill-climbing the winner's block count.
+func (s *search) coldSearch(specs []string) error {
+	sort.Strings(specs)
+	cands := make([]Config, len(specs))
+	for i, spec := range specs {
+		cands[i] = s.normalize(Config{Spec: spec})
 	}
-	sortConfigs(cands)
-	// Stable rank by predicted cost (ties keep the deterministic
-	// spec/streams/blocks order from sortConfigs).
+	// Stable rank by predicted cost (ties keep the spec order).
 	pred := make(map[Config]engine.Duration, len(cands))
 	for _, c := range cands {
-		pred[c] = m.PredictBatch(c)
+		pred[c] = s.model.Predict(c)
 	}
-	ordered := append([]Config(nil), cands...)
-	sort.SliceStable(ordered, func(i, j int) bool { return pred[ordered[i]] < pred[ordered[j]] })
+	sort.SliceStable(cands, func(i, j int) bool { return pred[cands[i]] < pred[cands[j]] })
 
-	// Probe the first candidate of each distinct spec in rank order.
-	probedSpecs := map[string]bool{}
-	plan := make([]Config, 0, coldSpecProbes)
-	for _, c := range ordered {
-		if len(plan) == coldSpecProbes {
-			break
-		}
-		if probedSpecs[c.Spec] {
-			continue
-		}
-		probedSpecs[c.Spec] = true
-		plan = append(plan, c)
-	}
-	if !probedSpecs[pass.DefaultSpec] && seen[pass.DefaultSpec] && len(plan) > 0 {
-		// The default order is the paper's known-good pipeline; never let
-		// the model's ranking talk the search out of measuring it.
-		for _, c := range ordered {
-			if c.Spec == pass.DefaultSpec {
-				plan[len(plan)-1] = c
-				break
-			}
+	plan := append([]Config(nil), cands[:min(coldSpecProbes, len(cands))]...)
+	for i, c := range cands {
+		if c.Spec == pass.DefaultSpec && i >= len(plan) {
+			// The default order is the paper's known-good pipeline; never
+			// let the model's ranking talk the search out of measuring it.
+			plan[len(plan)-1] = c
 		}
 	}
 	for _, c := range plan {

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,8 +81,11 @@ func TestColdSearchMatchesOracleWithinBudget(t *testing.T) {
 	}
 }
 
-func TestTunerCachesDecisions(t *testing.T) {
-	req := testRequest("cached")
+// A Tuner keeps no per-decision state: without a model, the same request
+// searches again from scratch and lands on the same answer by the same
+// probes.
+func TestTunerHoldsNoDecisionState(t *testing.T) {
+	req := testRequest("stateless")
 	tuner := &Tuner{}
 	first, err := tuner.Tune(req)
 	if err != nil {
@@ -91,11 +95,11 @@ func TestTunerCachesDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached || second.Probes != 0 || second.Source != "cache" {
-		t.Fatalf("second decision not cached: %+v", second.TuneDecision)
+	if second.Source != "search" || second.Probes != first.Probes || second.Config != first.Config {
+		t.Fatalf("repeat decision %+v differs from first %+v", second.TuneDecision, first.TuneDecision)
 	}
-	if second.Config != first.Config {
-		t.Fatalf("cache changed the configuration: %+v vs %+v", second.Config, first.Config)
+	if !reflect.DeepEqual(second.History, first.History) {
+		t.Fatalf("repeat history %v differs from first %v", second.History, first.History)
 	}
 }
 
@@ -178,26 +182,6 @@ func TestTuneRecordsHistoryAndObservesModel(t *testing.T) {
 	s := model.Samples[0]
 	if s.Key != "history" || s.Config != d.Config || s.MeasuredNs != d.MeasuredNs {
 		t.Fatalf("observed sample mismatch: %+v vs decision %+v", s, d.TuneDecision)
-	}
-}
-
-func TestTuneStreamCandidates(t *testing.T) {
-	req := testRequest("streams")
-	req.Streams = []int{1, 2, 4}
-	req.Requests = 4
-	tuner := &Tuner{}
-	d, err := tuner.Tune(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, n := range req.Streams {
-		if d.Config.Streams == n {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("chosen streams %d not among candidates %v", d.Config.Streams, req.Streams)
 	}
 }
 
